@@ -1,7 +1,7 @@
 //! Dimension-sweep ablation of the high-dimensional fast path: scalar
 //! vs runtime-dispatched SIMD kernels, row-major vs column-major
-//! layout, plain vs triangle-inequality-pruned GMM, and the
-//! end-to-end JL-projected pipeline — at `d ∈ {3, 128, 768}`.
+//! layout, plain GMM, and the end-to-end JL-projected pipeline — at
+//! `d ∈ {3, 128, 768}`.
 //!
 //! The kernel story is dimension-dependent: at `d = 3` the
 //! monomorphized fixed-`D` scalar kernels already saturate the memory
@@ -15,7 +15,7 @@
 
 use diversity::prelude::*;
 use diversity_bench::{scaled, timed, trials, Table};
-use diversity_core::gmm::{gmm_pruned, gmm_with_threads};
+use diversity_core::gmm::gmm_with_threads;
 use metric::simd::{self, SimdMode};
 use metric::{DenseStoreColMajor, Metric};
 
@@ -43,8 +43,6 @@ struct DimRow {
     relax_simd: f64,
     relax_col: f64,
     gmm_secs: f64,
-    pruned_secs: f64,
-    pruned_skipped: u64,
     seq_secs: f64,
     proj_secs: f64,
     proj_dim: usize,
@@ -108,21 +106,10 @@ fn main() {
             relax_col = relax_col.min(measure(Some(SimdMode::On), true));
         }
 
-        // ---- GMM: plain vs triangle-inequality pruned (bit-identical) ----
-        let plain = gmm_with_threads(&rows, &Euclidean, k, 0, 1);
-        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
-        diversity_obs::install(registry.clone());
-        let pruned = gmm_pruned(&rows, &Euclidean, k, 0);
-        diversity_obs::uninstall();
-        assert_eq!(plain.selected, pruned.selected, "pruned GMM diverged");
-        let pruned_skipped = registry
-            .snapshot_now()
-            .counter("kernel.pruned_relaxations")
-            .unwrap_or(0);
+        // ---- GMM ----
         let gmm_secs = min_of(trials, || {
             timed(|| gmm_with_threads(&rows, &Euclidean, k, 0, 1)).1
         });
-        let pruned_secs = min_of(trials, || timed(|| gmm_pruned(&rows, &Euclidean, k, 0)).1);
 
         // ---- end-to-end: plain sequential vs JL-projected ----
         let task = Task::new(Problem::RemoteEdge, k)
@@ -147,8 +134,6 @@ fn main() {
             relax_simd,
             relax_col,
             gmm_secs,
-            pruned_secs,
-            pruned_skipped,
             seq_secs,
             proj_secs,
             proj_dim,
@@ -175,12 +160,10 @@ fn main() {
     t.print();
 
     let mut t2 = Table::new(
-        "GMM pruning and projected end-to-end",
+        "GMM and projected end-to-end",
         &[
             "d",
             "gmm",
-            "gmm pruned",
-            "relax skipped",
             "seq e2e",
             "projected e2e",
             "proj d",
@@ -191,8 +174,6 @@ fn main() {
         t2.row(vec![
             r.dim.to_string(),
             format!("{:.3}s", r.gmm_secs),
-            format!("{:.3}s", r.pruned_secs),
-            r.pruned_skipped.to_string(),
             format!("{:.3}s", r.seq_secs),
             format!("{:.3}s", r.proj_secs),
             r.proj_dim.to_string(),
@@ -213,8 +194,7 @@ fn main() {
                 "      \"dim\": {}, \"n\": {},\n",
                 "      \"relax_ns_per_point\": {{ \"scalar\": {:.3}, \"simd\": {:.3}, \"simd_colmajor\": {:.3} }},\n",
                 "      \"simd_relax_speedup\": {:.3},\n",
-                "      \"gmm_seconds\": {{ \"plain\": {:.6}, \"pruned\": {:.6} }},\n",
-                "      \"pruned_relaxations\": {},\n",
+                "      \"gmm_seconds\": {{ \"plain\": {:.6} }},\n",
                 "      \"e2e_seconds\": {{ \"seq\": {:.6}, \"projected\": {:.6} }},\n",
                 "      \"projected_dim\": {},\n",
                 "      \"projected_value_ratio\": {:.6},\n",
@@ -228,8 +208,6 @@ fn main() {
             r.relax_col,
             r.relax_scalar / r.relax_simd,
             r.gmm_secs,
-            r.pruned_secs,
-            r.pruned_skipped,
             r.seq_secs,
             r.proj_secs,
             r.proj_dim,

@@ -14,18 +14,96 @@
 //!   (Halldórsson et al.'99) a 4- and 3-approximation for remote-tree
 //!   and remote-cycle respectively.
 //!
-//! The implementation is the standard `O(n·k)` one: maintain each
-//! point's distance to the nearest selected center and scan for the
-//! maximum. Two layers make that hot loop run at hardware speed:
+//! The plain loop is the standard `O(n·k)` one: maintain each point's
+//! distance to the nearest selected center and scan for the maximum.
+//! Two layers make that hot loop run at hardware speed:
 //!
 //! * the relax step goes through the [`Metric::relax`] batch hook, so
 //!   coordinate metrics use their vectorized, root-eliding kernels;
 //! * above [`metric::par::PAR_MIN_WORK`] points the relax+argmax pass
-//!   is chunked across scoped threads ([`gmm_with_threads`]), with the
+//!   is chunked across scoped threads ([`gmm_plain`]), with the
 //!   per-chunk argmaxes combined in chunk order so the result is
 //!   **bit-identical** to the sequential traversal — same selection
 //!   order, same tie-breaks, same assignments, same distances
 //!   (enforced by `tests/parallel_gmm.rs`).
+//!
+//! # The block path
+//!
+//! At low dimension and large `k` most of those `n·k` pairs cannot
+//! change anything: a point far from the new center keeps its
+//! distance. The block path evaluates only the pairs that can. One gate
+//! in [`gmm_with_threads`], which [`gmm`], the core-set builders, the
+//! sequential pipeline and every MapReduce reducer reach, decides from
+//! the input alone whether it runs:
+//!
+//! * `n ≥ 16,384` points and `min(k, n) ≥ 128` centers, and
+//! * the metric hands over a locality-ordered copy
+//!   ([`Metric::locality_copy`]) of points of dimension `≤ 3`. Only
+//!   `Euclidean` on `VecPoint` does, and only for finite coordinates.
+//!
+//! Everything else keeps the plain loop: other metrics and point
+//! types, higher dimensions, small `k` (the remote-clique job's
+//! `k' = 32`) and the serving path's small unions. The block path runs
+//! single-threaded whatever thread count it is handed: inside MapReduce
+//! reducers the runtime's threads already fill the host.
+//!
+//! **The traversal.** The copy is sorted along a Morton curve and cut
+//! into runs of 64 consecutive points. Each run has a pivot (its middle
+//! member), a radius `r` (the largest computed distance from the pivot
+//! to a member) and a maximum `m` (the largest current distance of a
+//! member to the selected centers). For each new center `c` a run is
+//! skipped when, in computed distances and evaluated left to right,
+//!
+//! ```text
+//! d(c, pivot) − r − m  >  1e-9 · (d(c, pivot) + r + m) + 1e-150
+//! ```
+//!
+//! and every other run relaxes through [`Metric::relax`]. The next
+//! center is a point at the largest `m` with the smallest *input*
+//! index, the plain loop's first-maximum rule; only runs whose `m` is
+//! the largest are scanned for it.
+//!
+//! **Why the outcome is bit-identical to the plain loop** (enforced by
+//! the workspace test `tests/block_gmm.rs`, which calls [`gmm_plain`]
+//! as its oracle). Relaxation is element-wise, so it suffices that a
+//! skipped run has no member `q` whose computed `d̂(c, q)` is below its
+//! current distance, which is at most `m`. Write `a = d̂(c, pivot)`,
+//! `b = r`, `S = a + b + m`, and `δ` for the relative rounding error of
+//! a computed distance (below `(d/2 + 2)·ε` for a `d`-dimensional
+//! Euclidean one, `ε = 2⁻⁵³`). The triangle inequality on true
+//! distances gives `d(c, q) ≥ d(c, pivot) − d(pivot, q)`, hence
+//! `d̂(c, q) ≥ a − b − 2δ·a` to first order, while the test's own
+//! subtractions err by at most `2ε·S`. So a passed test leaves
+//! `d̂(c, q) − m ≥ (1e-9 − 2δ − 3ε)·S > 0`: the relax would not have
+//! moved `q`. The slack must scale with `S`, not with `m` alone: when
+//! `r ≈ d(c, pivot) ≫ m` the subtraction `a − b` cancels, and its
+//! error, relative to `a`, exceeds any margin relative to `m`. Squares
+//! in the subnormal range round with an absolute error instead, at most
+//! about `√d·2⁻⁵³⁷` in a distance, which the `1e-150` term covers. A
+//! test with an infinite or NaN term never passes, so no run is
+//! skipped before it has a finite maximum.
+//!
+//! **The record behind the gate.** One 125,215-point part of the
+//! `batch-mr` benchmark's input (`sphere_shell(1_000_000, 32, d, 7)`
+//! split by `split_random(.., 8, 7)`, copied), one thread, medians of 5
+//! alternating runs on a shared 2-vCPU Intel Xeon (AVX2) host. The
+//! block path's time includes its sort and copy. Each cell is its
+//! speed-up over the plain loop, then the share of the `n·k` pairs it
+//! relaxed:
+//!
+//! | d | k = 32 | k = 64 | k = 128 | k = 256 |
+//! |---|---|---|---|---|
+//! | 2 | 0.75× · 14.0 % | 1.29× · 9.3 % | 2.10× · 6.3 % | 3.40× · 4.4 % |
+//! | 3 | 0.65× · 25.1 % | 1.04× · 18.7 % | 1.76× · 14.1 % | 2.63× · 11.0 % |
+//! | 4 | 0.37× · 42.1 % | 0.65× · 34.1 % | 0.93× · 28.4 % | 1.56× · 22.9 % |
+//! | 8 | 0.45× · 99.3 % | 0.62× · 98.5 % | 0.74× · 96.7 % | 0.84× · 93.8 % |
+//!
+//! At d = 3 the first 16,384 points of that part give 1.17×, 1.55× and
+//! 2.16× at k = 64, 128 and 256 (8,192 points: 1.03×, 1.45×, 1.63×).
+//! The whole input (n = 1M, d = 3), the shape of a sequential run,
+//! against the plain loop on 2 threads: 2.61× at k = 128 and 3.95× at
+//! k = 256, relaxing 5.0 % of the pairs. d = 4 gains only at k = 256,
+//! which no workload runs, so the gate stops at d = 3.
 
 use metric::{par, Metric};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,9 +139,11 @@ impl GmmOutcome {
 }
 
 /// Runs the farthest-point traversal from `points[start]`, selecting
-/// `min(k, n)` points. `O(n·k)` distance evaluations, `O(n)` memory.
-/// Parallelizes across [`metric::par::auto_threads`] threads on large
-/// inputs; the outcome is identical for every thread count.
+/// `min(k, n)` points. `O(n·k)` distance evaluations at most, `O(n)`
+/// memory. Takes the block path where the gate admits the input (see
+/// the module docs), else parallelizes the plain loop across
+/// [`metric::par::auto_threads`] threads on large inputs; the outcome
+/// is identical either way and for every thread count.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
@@ -71,10 +151,12 @@ pub fn gmm<P: Sync, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: usi
     gmm_with_threads(points, metric, k, start, par::auto_threads(points.len()))
 }
 
-/// [`gmm`] with an explicit thread count (`threads <= 1` runs the
-/// sequential loop). Exposed for the bit-identity property tests and
-/// the kernel benches; library callers should prefer [`gmm`], which
-/// applies the sequential fallback below the parallel threshold.
+/// [`gmm`] with an explicit thread count for the plain loop
+/// (`threads <= 1` runs it sequentially). The block path ignores
+/// `threads`: it runs single-threaded wherever the gate admits the
+/// input. Exposed for the kernel benches; library callers should
+/// prefer [`gmm`], which applies the sequential fallback below the
+/// parallel threshold.
 pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
     points: &[P],
     metric: &M,
@@ -82,11 +164,87 @@ pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
     start: usize,
     threads: usize,
 ) -> GmmOutcome {
-    let n = points.len();
+    check_args(points.len(), k, start);
+    let k = k.min(points.len());
+    let ordered = if gate_admits(points.len(), k) {
+        metric.locality_copy(points, BLOCK_MAX_DIM)
+    } else {
+        None
+    };
+    match ordered {
+        Some((ordered, order)) => blocks(&ordered, &order, metric, k, start),
+        None => plain(points, metric, k, start, threads),
+    }
+}
+
+/// Whether [`gmm`] over `points` with `k` centers takes the block
+/// path, judged from the input's size and its first point: a caller
+/// that copies its input for locality (the MapReduce reducers) need not
+/// when GMM makes its own ordered copy. A non-finite coordinate further
+/// in still sends [`gmm`] to the plain loop.
+pub fn takes_block_path<P, M: Metric<P>>(points: &[P], metric: &M, k: usize) -> bool {
+    gate_admits(points.len(), k) && metric.locality_copy(&points[..1], BLOCK_MAX_DIM).is_some()
+}
+
+/// The gate's size thresholds; [`BLOCK_MAX_DIM`] is the third.
+fn gate_admits(n: usize, k: usize) -> bool {
+    n >= BLOCK_MIN_POINTS && k.min(n) >= BLOCK_MIN_CENTERS
+}
+
+/// The plain loop, whatever the gate says: the oracle the block path
+/// is tested against. `threads <= 1` runs it sequentially.
+///
+/// # Panics
+/// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
+pub fn gmm_plain<P: Sync, M: Metric<P>>(
+    points: &[P],
+    metric: &M,
+    k: usize,
+    start: usize,
+    threads: usize,
+) -> GmmOutcome {
+    check_args(points.len(), k, start);
+    plain(points, metric, k.min(points.len()), start, threads)
+}
+
+/// The block path, whatever the gate's thresholds say: `None` if the
+/// metric hands over no ordered copy ([`Metric::locality_copy`], at
+/// any dimension). Its outcome equals [`gmm_plain`]'s bit for bit.
+///
+/// # Panics
+/// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
+pub fn gmm_blocked<P: Sync, M: Metric<P>>(
+    points: &[P],
+    metric: &M,
+    k: usize,
+    start: usize,
+) -> Option<GmmOutcome> {
+    check_args(points.len(), k, start);
+    let (ordered, order) = metric.locality_copy(points, usize::MAX)?;
+    Some(blocks(&ordered, &order, metric, k.min(points.len()), start))
+}
+
+fn check_args(n: usize, k: usize, start: usize) {
     assert!(n > 0, "GMM requires a non-empty input");
     assert!(k > 0, "GMM requires k > 0");
     assert!(start < n, "start index out of range");
-    let k = k.min(n);
+}
+
+fn record(k: usize, relaxed: u64) {
+    if diversity_obs::enabled() {
+        diversity_obs::count("gmm.runs", 1);
+        diversity_obs::count("gmm.rounds", k as u64);
+        diversity_obs::count("gmm.relaxations", relaxed);
+    }
+}
+
+fn plain<P: Sync, M: Metric<P>>(
+    points: &[P],
+    metric: &M,
+    k: usize,
+    start: usize,
+    threads: usize,
+) -> GmmOutcome {
     let span = diversity_obs::span("gmm.run_ns");
     let out = if threads > 1 {
         gmm_parallel(points, metric, k, start, threads)
@@ -94,11 +252,7 @@ pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
         gmm_sequential(points, metric, k, start)
     };
     drop(span);
-    if diversity_obs::enabled() {
-        diversity_obs::count("gmm.runs", 1);
-        diversity_obs::count("gmm.rounds", k as u64);
-        diversity_obs::count("gmm.relaxations", (k as u64).saturating_mul(n as u64));
-    }
+    record(k, (k as u64).saturating_mul(points.len() as u64));
     out
 }
 
@@ -271,137 +425,141 @@ pub fn gmm_default<P: Sync, M: Metric<P>>(points: &[P], metric: &M, k: usize) ->
     gmm(points, metric, k, 0)
 }
 
-/// Relative slack on the triangle-inequality skip test, absorbing the
-/// rounding error of the two distance evaluations it compares. The
-/// relative error of a d-dimensional Euclidean distance is ≤ ~(d+2)·ε
-/// (d products, d−1 adds, one square root, each correctly rounded);
-/// the derivation in [`gmm_pruned`] needs margin ≳ 3·(d+2)·ε, so 1e-9
-/// covers every dimension up to ~10⁶ with three orders of magnitude to
-/// spare — while pruning distances differing by less than a part in
-/// 10⁹ saves nothing anyway.
-const PRUNE_MARGIN: f64 = 1e-9;
+/// The gate's largest dimension.
+const BLOCK_MAX_DIM: usize = 3;
+/// The gate's smallest input.
+const BLOCK_MIN_POINTS: usize = 16_384;
+/// The gate's fewest centers.
+const BLOCK_MIN_CENTERS: usize = 128;
+/// Points per run of the ordered copy.
+const RUN: usize = 64;
+/// Relative slack of the skip test ([`can_skip`]).
+const SKIP_SLACK: f64 = 1e-9;
+/// Absolute slack of the skip test, above the error underflow can put
+/// in a computed distance (`√d·2⁻⁵³⁷`, about `1e-161` per distance).
+const SKIP_FLOOR: f64 = 1e-150;
 
-/// [`gmm`] with Elkan-style triangle-inequality pruning: provably
-/// outcome-identical, and skips the bulk of the relax work once
-/// clusters separate.
-///
-/// When center `c` is added, a point `i` currently assigned to center
-/// `a` at distance `u = d(i, a)` can only improve if
-/// `d(c, a) < 2·d(i, c)`... more precisely, by the triangle inequality
-/// `d(i, c) ≥ d(c, a) − d(i, a)`, so whenever `d(c, a) ≥ 2u` the new
-/// center is at least `u` away and the relax update is a no-op
-/// (Elkan, ICML'03, lemma 1 adapted to k-center). Each round therefore
-/// computes the `O(k)` center-to-center distances and relaxes only the
-/// points whose skip test fails, in contiguous segments so the dense
-/// flat/SIMD kernels still stream.
-///
-/// **Why the outcome is bit-identical to [`gmm`]** (enforced by
-/// `prune_matches_plain_gmm` below and the property tests): the skip
-/// test uses a relative margin (`PRUNE_MARGIN`, 1e-9) ≫ the rounding error
-/// of the compared distances. Writing `δ` for that error and `d̂` for
-/// computed values, `d̂(c,a) ≥ 2u·(1+margin)` implies the *computed*
-/// `d̂(i,c) ≥ (d(c,a) − d(i,a))·(1−δ) ≥ u·(1+margin−3δ) > u`, so the
-/// scalar relax would have rejected the candidate too — skipped points
-/// keep identical `dists`/`assignment`, un-skipped points run the very
-/// same kernels, and the next center comes from the same global
-/// first-max argmax ([`metric::argmax`]) over identical distances.
-/// An infinite incumbent (`u = ∞`, first round) never satisfies the
-/// test, so uncovered points are never skipped.
-///
-/// Skipped relaxations are counted as `kernel.pruned_relaxations`.
-///
-/// # Panics
-/// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
-pub fn gmm_pruned<P: Sync, M: Metric<P>>(
-    points: &[P],
+/// One run of the block path: up to [`RUN`] consecutive points of the
+/// ordered copy.
+struct Run {
+    /// Position of the member the run's bound is taken from.
+    pivot: usize,
+    /// Largest computed distance from the pivot to a member.
+    radius: f64,
+    /// Largest current distance of a member to the selected centers.
+    max: f64,
+}
+
+/// Whether no member of a run can move when a center at computed
+/// distance `to_pivot` from the run's pivot is added (see the module
+/// docs for the bound). An infinite input never passes.
+#[inline]
+fn can_skip(to_pivot: f64, radius: f64, max: f64) -> bool {
+    to_pivot - radius - max > SKIP_SLACK * (to_pivot + radius + max) + SKIP_FLOOR
+}
+
+/// The block path over `ordered`, a copy of the input with
+/// `order[q]` the input index of `ordered[q]`. Outcomes are reported
+/// in input order.
+fn blocks<P, M: Metric<P>>(
+    ordered: &[P],
+    order: &[usize],
     metric: &M,
     k: usize,
     start: usize,
 ) -> GmmOutcome {
-    let n = points.len();
-    assert!(n > 0, "GMM requires a non-empty input");
-    assert!(k > 0, "GMM requires k > 0");
-    assert!(start < n, "start index out of range");
-    let k = k.min(n);
     let span = diversity_obs::span("gmm.run_ns");
+    let n = ordered.len();
+    let mut scratch = [0.0f64; RUN];
+    let mut runs: Vec<Run> = (0..n)
+        .step_by(RUN)
+        .map(|lo| {
+            let members = &ordered[lo..(lo + RUN).min(n)];
+            let pivot = lo + members.len() / 2;
+            let to_pivot = &mut scratch[..members.len()];
+            metric.distance_many(&ordered[pivot], members, to_pivot);
+            Run {
+                pivot,
+                radius: to_pivot.iter().copied().fold(0.0, f64::max),
+                max: f64::INFINITY,
+            }
+        })
+        .collect();
 
+    let mut dist = vec![f64::INFINITY; n];
+    let mut assign = vec![0usize; n];
     let mut selected = Vec::with_capacity(k);
     let mut insertion_dist = Vec::with_capacity(k);
-    let mut assignment = vec![0usize; n];
-    let mut dist_to_centers = vec![f64::INFINITY; n];
-    let mut center_dist = Vec::with_capacity(k);
-    let mut pruned = 0u64;
-
-    let mut next = start;
+    let (mut relaxed, mut pruned) = (0u64, 0u64);
+    let mut next = order
+        .iter()
+        .position(|&i| i == start)
+        .expect("start index out of range");
     let mut next_dist = f64::INFINITY;
-    for _ in 0..k {
+    for cj in 0..k {
         let c = next;
-        selected.push(c);
+        selected.push(order[c]);
         insertion_dist.push(next_dist);
-        let cj = selected.len() - 1;
-
-        // O(cj) center-to-center distances — the price of admission,
-        // O(k²) total against the O(n·k) relaxations it avoids.
-        center_dist.clear();
-        center_dist.extend(
-            selected[..cj]
-                .iter()
-                .map(|&m| metric.distance(&points[c], &points[m])),
-        );
-
-        // Relax the survivors in contiguous segments, so a dense batch
-        // keeps its flat/SIMD streaming; the returned per-segment
-        // argmaxes are discarded in favour of one global scan below.
-        let mut seg_start = 0usize;
-        let mut i = 0usize;
-        while i <= n {
-            let skip = i < n
-                && center_dist
-                    .get(assignment[i])
-                    .is_some_and(|&dcc| dcc >= 2.0 * dist_to_centers[i] * (1.0 + PRUNE_MARGIN));
-            if skip || i == n {
-                if seg_start < i {
-                    metric.relax(
-                        &points[c],
-                        &points[seg_start..i],
-                        &mut dist_to_centers[seg_start..i],
-                        &mut assignment[seg_start..i],
-                        cj,
-                    );
-                }
-                if skip {
-                    pruned += 1;
-                }
-                seg_start = i + 1;
+        let center = &ordered[c];
+        for (r, run) in runs.iter_mut().enumerate() {
+            let lo = r * RUN;
+            let hi = (lo + RUN).min(n);
+            if can_skip(
+                metric.distance(center, &ordered[run.pivot]),
+                run.radius,
+                run.max,
+            ) {
+                pruned += (hi - lo) as u64;
+                continue;
             }
-            i += 1;
+            let (_, max) = metric
+                .relax(
+                    center,
+                    &ordered[lo..hi],
+                    &mut dist[lo..hi],
+                    &mut assign[lo..hi],
+                    cj,
+                )
+                .expect("runs are non-empty");
+            run.max = max;
+            relaxed += (hi - lo) as u64;
         }
-
-        // `Metric::relax`'s fused argmax uses the same first-max rule,
-        // so this global scan selects exactly the center the unpruned
-        // traversal would.
-        let far = metric::argmax(&dist_to_centers).expect("non-empty input");
-        next = far;
-        next_dist = dist_to_centers[far];
+        (next, next_dist) = farthest(&runs, &dist, order);
     }
 
+    let mut dist_to_centers = vec![0.0; n];
+    let mut assignment = vec![0usize; n];
+    for (q, &i) in order.iter().enumerate() {
+        dist_to_centers[i] = dist[q];
+        assignment[i] = assign[q];
+    }
     drop(span);
-    if diversity_obs::enabled() {
-        diversity_obs::count("gmm.runs", 1);
-        diversity_obs::count("gmm.rounds", k as u64);
-        diversity_obs::count(
-            "gmm.relaxations",
-            (k as u64).saturating_mul(n as u64).saturating_sub(pruned),
-        );
-        diversity_obs::count("kernel.pruned_relaxations", pruned);
-    }
-
+    record(k, relaxed);
+    diversity_obs::count("kernel.pruned_relaxations", pruned);
     GmmOutcome {
         selected,
         insertion_dist,
         assignment,
         dist_to_centers,
     }
+}
+
+/// The next center of the block path: `(position, distance)` of the
+/// largest current distance, ties to the smallest *input* index, which
+/// is the plain loop's first-maximum rule in input order. Only runs
+/// whose maximum is the largest are scanned.
+fn farthest(runs: &[Run], dist: &[f64], order: &[usize]) -> (usize, f64) {
+    let best = runs.iter().map(|r| r.max).fold(f64::NEG_INFINITY, f64::max);
+    let mut pick: Option<usize> = None;
+    for (r, _) in runs.iter().enumerate().filter(|(_, run)| run.max == best) {
+        let lo = r * RUN;
+        for q in lo..(lo + RUN).min(dist.len()) {
+            if dist[q] == best && pick.is_none_or(|p| order[q] < order[p]) {
+                pick = Some(q);
+            }
+        }
+    }
+    (pick.expect("a run attains the largest maximum"), best)
 }
 
 #[cfg(test)]
@@ -518,57 +676,73 @@ mod tests {
     }
 
     #[test]
-    fn prune_matches_plain_gmm() {
-        // Clustered data is where the skip test actually fires; verify
-        // the pruned traversal is bit-identical anyway.
-        let mut pts = Vec::new();
-        for c in 0..6 {
-            let base = (c as f64) * 50.0;
-            for i in 0..40 {
-                let x = base + ((i * 7 + c) % 11) as f64 * 0.3;
-                let y = ((i * 13 + c * 5) % 17) as f64 * 0.25;
-                pts.push(VecPoint::from([x, y]));
-            }
-        }
-        for k in [1usize, 2, 5, 12] {
-            for start in [0usize, 3, 99] {
-                let plain = gmm_with_threads(&pts, &Euclidean, k, start, 1);
-                let pruned = gmm_pruned(&pts, &Euclidean, k, start);
-                assert_eq!(plain.selected, pruned.selected, "k={k} start={start}");
-                assert_eq!(plain.assignment, pruned.assignment);
-                let plain_bits: Vec<u64> =
-                    plain.dist_to_centers.iter().map(|d| d.to_bits()).collect();
-                let pruned_bits: Vec<u64> =
-                    pruned.dist_to_centers.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(plain_bits, pruned_bits);
-                let ins_a: Vec<u64> = plain.insertion_dist.iter().map(|d| d.to_bits()).collect();
-                let ins_b: Vec<u64> = pruned.insertion_dist.iter().map(|d| d.to_bits()).collect();
-                assert_eq!(ins_a, ins_b);
-            }
-        }
+    fn prune_actually_prunes_on_separated_clusters() {
+        // Four far-apart 2-D clusters, large enough for the gate, so
+        // `gmm` itself takes the block path.
+        let pts: Vec<VecPoint> = (0..4 * 5_000)
+            .map(|i| {
+                let (c, j) = (i / 5_000, i % 5_000);
+                VecPoint::from([
+                    (c as f64) * 1000.0 + (j % 100) as f64 * 0.1,
+                    (j / 100) as f64 * 0.1,
+                ])
+            })
+            .collect();
+        let k = 128;
+        assert!(takes_block_path(&pts, &Euclidean, k));
+        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
+        diversity_obs::install(registry.clone());
+        let out = gmm(&pts, &Euclidean, k, 0);
+        let snap = registry.snapshot_now();
+        diversity_obs::uninstall();
+        assert_eq!(out.selected.len(), k);
+        // Lower bounds only: the recorder is process-global, and other
+        // tests in this binary may add to it.
+        let pairs = (pts.len() * k) as u64;
+        let pruned = snap.counter("kernel.pruned_relaxations").unwrap_or(0);
+        let relaxed = snap.counter("gmm.relaxations").unwrap_or(0);
+        assert!(
+            pruned >= pairs / 2,
+            "separated clusters must skip most runs: {pruned} of {pairs} pairs"
+        );
+        assert!(
+            relaxed >= pts.len() as u64,
+            "the first center relaxes every point"
+        );
     }
 
     #[test]
-    fn prune_actually_prunes_on_separated_clusters() {
-        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
-        diversity_obs::install(registry.clone());
-        let mut pts = Vec::new();
-        for c in 0..4 {
-            for i in 0..100 {
-                pts.push(VecPoint::from([
-                    (c as f64) * 1000.0 + (i % 10) as f64 * 0.1,
-                    (i / 10) as f64 * 0.1,
-                ]));
-            }
-        }
-        let out = gmm_pruned(&pts, &Euclidean, 8, 0);
-        let snap = registry.snapshot_now();
-        diversity_obs::uninstall();
-        assert_eq!(out.selected.len(), 8);
-        let pruned = snap.counter("kernel.pruned_relaxations").unwrap_or(0);
-        assert!(
-            pruned > 0,
-            "well-separated clusters must trigger the skip test"
-        );
+    fn gate_keeps_small_high_dim_and_foreign_inputs_plain() {
+        let grid = |n: usize, dim: usize| -> Vec<VecPoint> {
+            (0..n)
+                .map(|i| VecPoint::new((0..dim).map(|j| ((i * (j + 7)) % 101) as f64).collect()))
+                .collect()
+        };
+        assert!(takes_block_path(
+            &grid(BLOCK_MIN_POINTS, 3),
+            &Euclidean,
+            BLOCK_MIN_CENTERS
+        ));
+        assert!(!takes_block_path(
+            &grid(BLOCK_MIN_POINTS - 1, 3),
+            &Euclidean,
+            BLOCK_MIN_CENTERS
+        ));
+        assert!(!takes_block_path(
+            &grid(BLOCK_MIN_POINTS, 3),
+            &Euclidean,
+            BLOCK_MIN_CENTERS - 1
+        ));
+        assert!(!takes_block_path(
+            &grid(BLOCK_MIN_POINTS, BLOCK_MAX_DIM + 1),
+            &Euclidean,
+            256
+        ));
+        assert!(!takes_block_path(
+            &grid(BLOCK_MIN_POINTS, 3),
+            &metric::Manhattan,
+            256
+        ));
+        assert!(gmm_blocked(&grid(100, 3), &metric::Manhattan, 8, 0).is_none());
     }
 }

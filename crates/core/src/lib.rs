@@ -70,5 +70,5 @@ pub mod seq;
 
 pub use coreset::{Coreset, CoresetSource};
 pub use generalized::{GenPair, GeneralizedCoreset};
-pub use gmm::{gmm, gmm_default, gmm_pruned, GmmOutcome};
+pub use gmm::{gmm, gmm_default, GmmOutcome};
 pub use problem::{Problem, Solution};

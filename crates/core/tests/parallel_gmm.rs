@@ -4,15 +4,19 @@
 //! thread count, metric, and start point. This is the contract that
 //! lets `gmm` pick its thread count from the machine (or
 //! `DIVMAX_THREADS`) without results ever depending on where they ran.
+//!
+//! The tests call the plain loop (`gmm_plain`) explicitly: inputs the
+//! block path's gate admits would otherwise never reach the threads.
+//! The block path has its own oracle test in the workspace `tests/`.
 
-use diversity_core::gmm::gmm_with_threads;
+use diversity_core::gmm::gmm_plain;
 use metric::{Chebyshev, CosineDistance, Euclidean, Manhattan, Metric, VecPoint};
 use proptest::prelude::*;
 
 fn outcomes_identical<P: Sync, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: usize) {
-    let seq = gmm_with_threads(points, metric, k, start, 1);
+    let seq = gmm_plain(points, metric, k, start, 1);
     for threads in [2usize, 3, 5, 16] {
-        let par = gmm_with_threads(points, metric, k, start, threads);
+        let par = gmm_plain(points, metric, k, start, threads);
         assert_eq!(
             seq.selected, par.selected,
             "selection order ({threads} threads)"
@@ -124,7 +128,7 @@ fn worker_panic_propagates_instead_of_deadlocking() {
     }
     let points: Vec<VecPoint> = (0..4000).map(|i| VecPoint::from([i as f64])).collect();
     let result = std::panic::catch_unwind(|| {
-        let _ = gmm_with_threads(&points, &Trap, 8, 0, 4);
+        let _ = gmm_plain(&points, &Trap, 8, 0, 4);
     });
     assert!(result.is_err(), "panic must escape the parallel traversal");
 }

@@ -764,8 +764,7 @@ impl Task {
         P: Clone + Send + Sync,
         M: Metric<P>,
     {
-        let locate = validate_partitions(partitions)?;
-        let n = locate.len();
+        let n = validate_partitions(partitions)?;
         if n == 0 {
             return Err(DivError::EmptyInput);
         }
@@ -810,10 +809,7 @@ impl Task {
                 // The recursive driver takes the flat input; rebuild it
                 // in original order so its indices are already global,
                 // handing the copy over as its level-0 working set.
-                let flat: Vec<P> = locate
-                    .iter()
-                    .map(|&(part, local)| partitions.parts[part][local].clone())
-                    .collect();
+                let flat = flatten(partitions, n);
                 recursive_owned(
                     self.problem,
                     flat,
@@ -844,15 +840,7 @@ impl Task {
             k_prime,
             coreset_size: outcome.solve_input_size,
             coreset_radius: Some(outcome.coreset_radius),
-            points: outcome
-                .solution
-                .indices
-                .iter()
-                .map(|&g| {
-                    let (part, local) = locate[g];
-                    partitions.parts[part][local].clone()
-                })
-                .collect(),
+            points: points_at(partitions, n, &outcome.solution.indices),
             indices: outcome.solution.indices,
             value: outcome.solution.value,
             timings: outcome
@@ -1091,8 +1079,8 @@ fn strided_sample<P>(total: usize, points: impl Iterator<Item = P>) -> Vec<P> {
 }
 
 /// Checks part/index row alignment and that `global_indices` is a
-/// permutation of `0..n`; returns the global → `(part, local)` map.
-fn validate_partitions<P>(partitions: &Partitions<P>) -> Result<Vec<(usize, usize)>, DivError> {
+/// permutation of `0..n`; returns `n`.
+fn validate_partitions<P>(partitions: &Partitions<P>) -> Result<usize, DivError> {
     if partitions.parts.len() != partitions.global_indices.len() {
         return Err(DivError::MalformedPartitions {
             reason: format!(
@@ -1103,7 +1091,6 @@ fn validate_partitions<P>(partitions: &Partitions<P>) -> Result<Vec<(usize, usiz
         });
     }
     let n = partitions.total_points();
-    let mut locate = vec![(usize::MAX, usize::MAX); n];
     let mut seen = vec![false; n];
     for (part_id, (part, globals)) in partitions
         .parts
@@ -1120,7 +1107,7 @@ fn validate_partitions<P>(partitions: &Partitions<P>) -> Result<Vec<(usize, usiz
                 ),
             });
         }
-        for (local, &global) in globals.iter().enumerate() {
+        for &global in globals {
             if global >= n {
                 return Err(DivError::MalformedPartitions {
                     reason: format!("global index {global} out of range for {n} points"),
@@ -1132,10 +1119,46 @@ fn validate_partitions<P>(partitions: &Partitions<P>) -> Result<Vec<(usize, usiz
                 });
             }
             seen[global] = true;
-            locate[global] = (part_id, local);
         }
     }
-    Ok(locate)
+    Ok(n)
+}
+
+/// The points at global indices `wanted`, in that order, found in one
+/// pass over validated partitions of `n` points.
+fn points_at<P: Clone>(partitions: &Partitions<P>, n: usize, wanted: &[usize]) -> Vec<P> {
+    let mut is_wanted = vec![false; n];
+    for &g in wanted {
+        is_wanted[g] = true;
+    }
+    let mut found: Vec<Option<P>> = vec![None; wanted.len()];
+    for (part, globals) in partitions.parts.iter().zip(&partitions.global_indices) {
+        for (point, &g) in part.iter().zip(globals) {
+            if is_wanted[g] {
+                for (slot, _) in wanted.iter().enumerate().filter(|&(_, &w)| w == g) {
+                    found[slot] = Some(point.clone());
+                }
+            }
+        }
+    }
+    found
+        .into_iter()
+        .map(|p| p.expect("validated partitions hold every global index"))
+        .collect()
+}
+
+/// The flat input in original order, from validated partitions of `n`
+/// points.
+fn flatten<P: Clone>(partitions: &Partitions<P>, n: usize) -> Vec<P> {
+    let mut flat: Vec<Option<P>> = vec![None; n];
+    for (part, globals) in partitions.parts.iter().zip(&partitions.global_indices) {
+        for (point, &g) in part.iter().zip(globals) {
+            flat[g] = Some(point.clone());
+        }
+    }
+    flat.into_iter()
+        .map(|p| p.expect("validated partitions hold every global index"))
+        .collect()
 }
 
 /// Random re-partitioning that preserves the original global indices

@@ -62,6 +62,25 @@ pub use partition::Partitions;
 pub use runtime::{MapReduceRuntime, MrStats, RoundStats};
 
 use diversity_core::Solution;
+use metric::Metric;
+use std::borrow::Cow;
+
+/// The rows a round-1 reducer runs GMM, GMM-EXT or GMM-GEN on. A split
+/// leaves a part's rows spread over the heap of the whole input, and
+/// GMM reads them `k'` times, so the reducer copies its part; where
+/// GMM's block path runs, its own locality-ordered copy replaces that
+/// copy.
+pub(crate) fn local_rows<'a, P: Clone, M: Metric<P>>(
+    part: &'a [P],
+    metric: &M,
+    k_prime: usize,
+) -> Cow<'a, [P]> {
+    if diversity_core::gmm::takes_block_path(part, metric, k_prime) {
+        Cow::Borrowed(part)
+    } else {
+        Cow::Owned(part.to_vec())
+    }
+}
 
 /// Result of a MapReduce diversity run: the solution (indices into the
 /// original input) plus per-round execution statistics.

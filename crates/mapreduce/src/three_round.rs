@@ -57,8 +57,7 @@ where
             if part.is_empty() {
                 return Coreset::new(Vec::new(), Vec::new(), Vec::new(), k_prime, 0.0);
             }
-            // The split left these rows spread over the whole input, and GMM reads them k' times.
-            let part = part.to_vec();
+            let part = crate::local_rows(part, metric, k_prime);
             let out = gmm_gen(&part, metric, k, k_prime);
             let globals = &partitions.global_indices[part_id];
             let pairs = out.coreset.pairs();

@@ -53,8 +53,7 @@ where
             if part.is_empty() {
                 return Coreset::unweighted(Vec::new(), Vec::new(), k_prime, 0.0);
             }
-            // The split left these rows spread over the whole input, and GMM reads them k' times.
-            let part = part.to_vec();
+            let part = crate::local_rows(part, metric, k_prime);
             let globals = &partitions.global_indices[part_id];
             pipeline::extract_coreset_artifact(problem, &part, metric, k, k_prime)
                 .map_sources(|local| globals[local as usize] as u64)

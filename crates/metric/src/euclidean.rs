@@ -78,6 +78,15 @@ impl Metric<VecPoint> for Euclidean {
     fn distance_to_set_within(&self, p: &VecPoint, set: &[VecPoint], threshold: f64) -> bool {
         kernels::euclidean_within(p.coords(), set.iter().map(VecPoint::coords), threshold)
     }
+
+    /// Morton order over the points' bounding cube (`crate::morton`).
+    fn locality_copy(
+        &self,
+        points: &[VecPoint],
+        max_dim: usize,
+    ) -> Option<(Vec<VecPoint>, Vec<usize>)> {
+        crate::morton::morton_copy(points, max_dim)
+    }
 }
 
 /// The `DenseRow` hooks use the fused-verification kernels: each

@@ -56,6 +56,7 @@ mod levenshtein;
 mod lp;
 mod manhattan;
 mod matrix;
+mod morton;
 pub mod par;
 mod project;
 pub mod simd;

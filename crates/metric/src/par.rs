@@ -18,15 +18,19 @@
 //! and barrier costs are microseconds, which dwarfs a relax pass over
 //! a few thousand points.
 //!
-//! The simulated MapReduce runtime runs reducers on threads, and each
-//! reducer's GMM may fork again. That nesting costs little. On a
-//! 2-vCPU x86-64 host, a 2-round remote-edge job over 1M 3-D points in
-//! 8 parts on 2 reducer threads (k' = 256) took 2.0–3.6 s with
-//! `DIVMAX_THREADS=1` against 1.9–3.9 s with [`auto_threads`], while
-//! its reducers ran GMM on the parts as split. Memory locality is what
-//! mattered: since the round-1 reducers copy their part first, the job
-//! takes about 0.9 s with either setting. There is no need to pin
-//! `DIVMAX_THREADS=1` for MapReduce.
+//! The simulated MapReduce runtime runs reducers on threads. A reducer
+//! whose GMM takes the block path (`diversity_core::gmm`: 3-D or lower
+//! `VecPoint`s under `Euclidean`, large parts, `k' ≥ 128`) does not
+//! fork: that path runs single-threaded, as the runtime's threads
+//! already fill the host. Any other reducer's GMM may fork again, and
+//! that nesting costs little. On a 2-vCPU x86-64 host, a 2-round
+//! remote-edge job over 1M 3-D points in 8 parts on 2 reducer threads
+//! (k' = 256) took 2.0–3.6 s with `DIVMAX_THREADS=1` against 1.9–3.9 s
+//! with [`auto_threads`], while its reducers ran the plain GMM loop on
+//! the parts as split. Memory locality is what mattered: once the
+//! round-1 reducers copied their part first, the job took about 0.9 s
+//! with either setting. There is no need to pin `DIVMAX_THREADS=1` for
+//! MapReduce.
 
 use std::sync::OnceLock;
 

@@ -116,6 +116,29 @@ pub trait Metric<P: ?Sized>: Send + Sync {
     {
         set.iter().any(|q| self.distance(p, q) <= threshold)
     }
+
+    /// Locality hook for the block path of GMM (`diversity_core::gmm`):
+    /// a copy of `points` ordered so that nearby points sit together,
+    /// with `order[q]` the input position of the copy's `q`-th point.
+    /// The copied points must equal the originals, so every distance
+    /// between them is unchanged; the order itself only affects speed.
+    ///
+    /// The default returns `None`, which keeps GMM on its plain loop.
+    /// A metric that reads points as coordinate vectors may override it
+    /// (the `Euclidean` hook on `VecPoint` sorts along a Morton curve);
+    /// an override returns `None` too when the points disagree on
+    /// dimension, their dimension exceeds `max_dim`, or a coordinate is
+    /// not finite. Overriding it also vouches that every computed
+    /// distance is within a relative `1e-10` plus an absolute `1e-151`
+    /// of the true one: the block path's skip test has that much slack
+    /// for the triangle inequality it relies on.
+    fn locality_copy(&self, points: &[P], max_dim: usize) -> Option<(Vec<P>, Vec<usize>)>
+    where
+        P: Sized,
+    {
+        let _ = (points, max_dim);
+        None
+    }
 }
 
 // A reference to a metric is itself a metric: this lets algorithms take
@@ -164,6 +187,14 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
         P: Sized,
     {
         (**self).distance_to_set_within(p, set, threshold)
+    }
+
+    #[inline]
+    fn locality_copy(&self, points: &[P], max_dim: usize) -> Option<(Vec<P>, Vec<usize>)>
+    where
+        P: Sized,
+    {
+        (**self).locality_copy(points, max_dim)
     }
 }
 
