@@ -3,8 +3,8 @@
 //! Measures, at n ≥ 20k (scale with `DIVMAX_SCALE`):
 //!
 //! * **hook overhead** — warm query latency with no fault plan vs a
-//!   zero-rate plan installed (the per-injection-point atomic load +
-//!   counter bump, the price production pays for chaos-testability);
+//!   zero-rate plan handed to the pool (the per-injection-point counter
+//!   bump, the price of chaos-testability);
 //! * **degraded-query overhead** — warm query latency with all shards
 //!   healthy vs one shard quarantined (the merge shrinks, the
 //!   `Degradation` block is built, the coverage fraction computed);
@@ -45,11 +45,10 @@ fn main() {
     }
 
     // ---- hook overhead: no plan vs a zero-rate plan ----------------
-    faults::uninstall();
     let healthy_secs = min_secs(trials, || {
         pool.query(&task).expect("healthy query");
     });
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+    let pool = pool.with_faults(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
         seed: 1,
         panic: 0.0,
         slow: 0.0,
@@ -61,7 +60,6 @@ fn main() {
     let hooked_secs = min_secs(trials, || {
         pool.query(&task).expect("hooked query");
     });
-    faults::uninstall();
 
     // ---- degraded-query overhead: one shard quarantined ------------
     pool.quarantine(0);

@@ -5,15 +5,17 @@
 //! Measures, at n ≥ 40k (scale with `DIVMAX_SCALE`), over a pool whose
 //! entire dataset landed on one shard of eight:
 //!
-//! * **rebalance wall time** — cut, greedy re-partition, engine
-//!   rebuilds, and the atomic swap (min over `DIVMAX_TRIALS` trials,
-//!   each on a freshly skewed pool);
+//! * **rebalance wall time** — cut, greedy re-partition, shard
+//!   rebuilds (points only; prefixes regrow on the next query), and
+//!   the atomic swap (min over `DIVMAX_TRIALS` trials, each on a
+//!   freshly skewed pool);
 //! * **write pause** — the span writers are fenced, from all shard
-//!   write locks held to the swap commit (strictly inside wall time:
+//!   writer locks held to the swap commit (strictly inside wall time:
 //!   readers never block at all);
 //! * **skew before/after** and the number of live ids remapped;
-//! * **warm query latency** skewed vs rebalanced — the payoff: an
-//!   extraction bounded by the largest shard shrinks with it.
+//! * **first warm query** skewed vs rebalanced — it grows every
+//!   shard's prefix, a cost bounded by the largest shard, which shrinks
+//!   with the rebalance.
 //!
 //! Appends a `"rebalance"` section to `BENCH_serve.json` at the
 //! workspace root (CI uploads it with the serve ablation's numbers).

@@ -1,15 +1,16 @@
 //! Ablation: warm-path serving (`ShardPool::query`) vs the cold
-//! per-query rebuild (`Task::run_sharded`) — the gap the serving layer
-//! exists to close.
+//! per-query rerun of round 1 (`Task::run_sharded`) — the gap the
+//! serving layer exists to close.
 //!
 //! Measures, at n ≥ 40k (scale with `DIVMAX_SCALE`), for remote-edge
 //! and remote-clique:
 //!
-//! * **warm query latency** — extraction under read locks + merge +
-//!   combiner solve, over a pool whose engines absorbed the data as
-//!   updates (min over `DIVMAX_TRIALS` trials);
-//! * **cold query latency** — `run_sharded`, which rebuilds every
-//!   shard engine before the identical extract/merge/solve;
+//! * **warm query latency** — prefix reads under read locks + merge +
+//!   combiner solve, over a pool that absorbed the data as updates
+//!   (min over `DIVMAX_TRIALS` trials; the first query grows the
+//!   prefixes);
+//! * **cold query latency** — `run_sharded`, which reruns GMM over
+//!   every shard before the identical merge/solve;
 //! * **update throughput** — amortized insert cost into the pool, the
 //!   price the warm path pays once instead of per query;
 //! * checkpoint size and snapshot/restore round-trip time, since a
@@ -54,7 +55,7 @@ fn main() {
         });
         let update_us = build_secs * 1e6 / n as f64;
 
-        // Warm vs cold, min over trials (cold includes engine builds).
+        // Warm vs cold, min over trials (cold reruns round 1).
         let mut warm_secs = f64::INFINITY;
         let mut warm_value = 0.0;
         for _ in 0..trials {
@@ -129,7 +130,7 @@ fn main() {
             "cold (run_sharded)".into(),
             fmt_secs(cold_secs),
             format!("{cold_value:.4}"),
-            "rebuilds every shard engine".into(),
+            "reruns round 1 over every shard".into(),
         ]);
         table.row(vec![
             "checkpoint".into(),

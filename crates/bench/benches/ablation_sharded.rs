@@ -1,13 +1,14 @@
-//! Ablation: the sharded-dynamic composition vs its two parents.
+//! Ablation: the sharded composition vs its two parents.
 //!
 //! Measures, at n ≥ 60k (scale with `DIVMAX_SCALE`), for remote-edge
 //! and remote-clique:
 //!
 //! * **query latency from warm shards** — the serving-path cost: each
-//!   shard's dynamic engine is already built (amortized over updates),
-//!   so a query is per-shard extraction + merge + combiner solve;
-//! * the same query answered by the plain 2-round MapReduce run
-//!   (rescans every shard's raw points) and by the single-machine
+//!   pool shard keeps its GMM prefix current (amortized over updates),
+//!   so a query is per-shard reads + merge + combiner solve;
+//! * the same query answered cold by `run_sharded` (the 2-round
+//!   MapReduce run, which rescans every shard's raw points and must
+//!   equal the warm answer bit for bit) and by the single-machine
 //!   core-set pipeline;
 //! * shipped volume (solve-input size) and the composed radius
 //!   certificate, against each alternative's;
@@ -17,6 +18,7 @@
 use diversity::prelude::*;
 use diversity_bench::{fmt_secs, scaled, timed, Table};
 use diversity_datasets::gaussian_clusters;
+use diversity_serve::Serve;
 
 fn main() {
     let n = scaled(60_000);
@@ -32,37 +34,20 @@ fn main() {
     for problem in [Problem::RemoteEdge, Problem::RemoteClique] {
         let task = Task::new(problem, k).budget(Budget::KPrime(k_prime));
 
-        // Warm the shards once — the serving fleet's steady state.
-        let engines: Vec<DynamicDiversity<_, _>> = parts
-            .parts
-            .iter()
-            .map(|part| {
-                let mut e = DynamicDiversity::new(Euclidean);
-                for p in part {
-                    e.insert(p.clone());
-                }
-                e
-            })
-            .collect();
+        // Warm the shards once — the serving fleet's steady state: the
+        // first query grows every shard's prefix to k'.
+        let pool = task.serve_seeded(&parts, Euclidean).expect("pool");
+        pool.query(&task).expect("warm-up query");
+        let (warm, warm_secs) = timed(|| pool.query(&task).expect("warm query"));
+        let (shipped, radius) = (warm.coreset_size, warm.coreset_radius.unwrap_or(f64::NAN));
 
-        // Warm-shard query: extract per shard, merge, solve — the
-        // run_sharded data path minus the engine builds.
-        let (warm, warm_secs) = timed(|| {
-            let merged = Coreset::merge_all(engines.iter().enumerate().map(|(i, e)| {
-                let globals = &parts.global_indices[i];
-                e.extract_coreset(problem, k, k_prime)
-                    .map_sources(|local| globals[local as usize] as u64)
-            }))
-            .expect("shards");
-            let radius = merged.radius();
-            let size = merged.len();
-            let sol = pipeline::solve_coreset(problem, &merged, &Euclidean, k);
-            (sol, size, radius)
-        });
-        let (sol, shipped, radius) = warm;
-
-        // Cold path: run_sharded builds the engines too (one-shot cost).
+        // Cold path: run_sharded reruns round 1 over every part.
         let (cold, cold_secs) = timed(|| task.run_sharded(&parts, &Euclidean, &rt).unwrap());
+        assert_eq!(
+            warm.value.to_bits(),
+            cold.value.to_bits(),
+            "{problem}: the warm pool answers like run_sharded"
+        );
 
         // The parents.
         let (mr, mr_secs) = timed(|| {
@@ -72,25 +57,25 @@ fn main() {
         let (seq, seq_secs) = timed(|| task.run_seq(&points, &Euclidean).unwrap());
 
         let mut table = Table::new(
-            &format!("sharded-dynamic vs parents ({problem})"),
+            &format!("sharded vs parents ({problem})"),
             &["path", "time", "value", "shipped", "radius cert"],
         );
         table.row(vec![
             "sharded (warm shards)".into(),
             fmt_secs(warm_secs),
-            format!("{:.4}", sol.value),
+            format!("{:.4}", warm.value),
             format!("{shipped}"),
             format!("{radius:.4}"),
         ]);
         table.row(vec![
-            "sharded (cold, builds engines)".into(),
+            "sharded (cold, run_sharded)".into(),
             fmt_secs(cold_secs),
             format!("{:.4}", cold.value),
             format!("{}", cold.coreset_size),
             format!("{:.4}", cold.coreset_radius.unwrap_or(f64::NAN)),
         ]);
         table.row(vec![
-            "2-round MapReduce (rescan)".into(),
+            "2-round MapReduce".into(),
             fmt_secs(mr_secs),
             format!("{:.4}", mr.value),
             format!("{}", mr.coreset_size),
@@ -107,14 +92,14 @@ fn main() {
 
         println!(
             "value ratios vs seq: warm {:.3}, mapreduce {:.3}; shipped {:.2}% of n",
-            sol.value / seq.value,
+            warm.value / seq.value,
             mr.value / seq.value,
             100.0 * shipped as f64 / n as f64
         );
         // The laws the composition stands on, smoke-checked here too.
-        assert!(sol.value > 0.0 && sol.value.is_finite());
+        assert!(warm.value > 0.0 && warm.value.is_finite());
         assert!(
-            sol.value * problem.alpha() >= seq.value - 1e-9,
+            warm.value * problem.alpha() >= seq.value - 1e-9,
             "{problem}: sharded value fell below the alpha envelope"
         );
     }

@@ -56,8 +56,8 @@ pub enum DivError {
     /// nowhere to route an insert.
     InvalidShards,
     /// A checkpointed state failed structural validation on restore:
-    /// truncated or bit-flipped wire bytes, dangling parent links, a
-    /// shard-less pool snapshot. The process degrades (the caller keeps
+    /// truncated or bit-flipped wire bytes, ids out of order, a start
+    /// that is not alive, a shard-less pool snapshot. The process degrades (the caller keeps
     /// its last good state) instead of aborting.
     CorruptState { reason: String },
     /// The shard an update routed to is quarantined and could not be

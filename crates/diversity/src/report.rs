@@ -23,9 +23,10 @@ pub enum Backend {
     MapReduce,
     /// The fully dynamic cover-hierarchy engine.
     Dynamic,
-    /// The sharded composition: per-shard dynamic engines whose
-    /// extracted core-sets merge through the 2-round MapReduce
-    /// combiner ([`crate::Task::run_sharded`]).
+    /// The sharded composition: per-shard core-sets merged through
+    /// the 2-round MapReduce combiner, cold
+    /// ([`crate::Task::run_sharded`]) or from the serving pool's
+    /// maintained shards (`diversity_serve::ShardPool::query`).
     ShardedDynamic,
 }
 

@@ -27,15 +27,11 @@ use std::time::Instant;
 
 use crate::error::DivError;
 use crate::report::{Backend, Certificate, Report, StageMemory, StageTiming};
-use diversity_core::coreset::Coreset;
 use diversity_core::{coreset, eval, par, pipeline, seq, Problem};
 use diversity_dynamic::DynamicDiversity;
 use diversity_mapreduce::{
-    randomized::randomized_two_round,
-    recursive::recursive_owned,
-    three_round::three_round,
-    two_round::{solve_union, two_round},
-    MapReduceRuntime, MrOutcome, MrStats, Partitions,
+    randomized::randomized_two_round, recursive::recursive_owned, three_round::three_round,
+    two_round::two_round, MapReduceRuntime, MrOutcome, MrStats, Partitions,
 };
 use diversity_streaming::{Smm, SmmExt};
 use metric::{DenseStore, Euclidean, JlProjection, Metric, VecPoint};
@@ -234,11 +230,10 @@ pub enum Strategy {
         /// Per-reducer memory budget in points (must be positive).
         memory_limit: usize,
     },
-    /// The sharded-dynamic composition ([`Task::run_sharded`]): one
-    /// fully dynamic engine per partition extracts its maintained
-    /// core-set, and the artifacts merge through the 2-round combiner.
-    /// Works for all six problems; the report's backend is
-    /// [`Backend::ShardedDynamic`].
+    /// The sharded composition ([`Task::run_sharded`]): the 2-round
+    /// algorithm over the parts, tagged [`Backend::ShardedDynamic`] —
+    /// the cold twin of the serving pool, whose shards keep round 1
+    /// current under updates. Works for all six problems.
     ShardedDynamic,
 }
 
@@ -780,7 +775,7 @@ impl Task {
         let k_prime = self.resolve_budget_sampled(&sample, metric)?;
 
         let outcome: MrOutcome = match strategy {
-            Strategy::TwoRound => {
+            Strategy::TwoRound | Strategy::ShardedDynamic => {
                 two_round(self.problem, partitions, metric, self.k, k_prime, runtime)
             }
             Strategy::ThreeRound => {
@@ -820,13 +815,11 @@ impl Task {
                     runtime,
                 )
             }
-            Strategy::ShardedDynamic => self.sharded_outcome(partitions, metric, runtime, k_prime),
         };
 
-        // The sharded composition carries its own backend tag, and —
-        // like `run_dynamic` — never an `(α+ε)` certificate: per-shard
-        // accuracy is governed by the engines' cover structure, with
-        // the composed `coreset_radius` as the honest witness.
+        // The sharded composition carries its own backend tag and,
+        // like the warm pool it mirrors, no `(α+ε)` certificate: the
+        // composed `coreset_radius` is its accuracy witness.
         let (backend, certificate) = if strategy == Strategy::ShardedDynamic {
             (Backend::ShardedDynamic, None)
         } else {
@@ -945,39 +938,32 @@ impl Task {
         })
     }
 
-    // ---- sharded dynamic ---------------------------------------------
+    // ---- sharded --------------------------------------------------------
 
-    /// The composition the coreset artifact unlocks, as a fifth
-    /// backend: one **fully dynamic engine per partition** builds its
-    /// cover hierarchy and extracts its maintained core-set
-    /// ([`DynamicDiversity::extract_coreset`]), and the per-shard
-    /// artifacts merge through the existing **2-round MapReduce
-    /// combiner** (`mapreduce::two_round::solve_union`). Also reachable
-    /// as [`Strategy::ShardedDynamic`] through
-    /// [`run_mapreduce`](Task::run_mapreduce).
+    /// The sharded backend: `two_round` over the parts, tagged
+    /// [`Backend::ShardedDynamic`] and also reachable as
+    /// [`Strategy::ShardedDynamic`] through
+    /// [`run_mapreduce`](Task::run_mapreduce). This is the cold path
+    /// of the serving pool (`diversity-serve`'s `ShardPool`), and its
+    /// oracle: each pool shard keeps round 1 — `GMM(S_i, k')` or
+    /// GMM-EXT over the shard's part, listed start first and then by
+    /// id — current under updates, so a quiescent warm query returns
+    /// exactly this report, bit for bit, with pool handles for
+    /// indices.
     ///
-    /// **Why the composed certificate is sound** (the paper's own
-    /// glue): each shard's extraction guarantees every shard point is
-    /// within `r_i` of its artifact (the cover level's telescoped
-    /// covering radius — the additive `Σ_j 2^j < 2^(i+1)` argument that
-    /// also underlies the streaming Lemmas 3–4); the union of the
-    /// artifacts then covers the *whole* input within `max_i r_i`
-    /// (Definition 2's composition, [`Coreset::merge`]), so the
-    /// report's `coreset_radius` is exactly that max and bounds the
-    /// solve's value loss through the proxy-function Lemmas 1–2. Had
-    /// the combiner re-extracted before solving, the radii would add
-    /// ([`Coreset::deepen`]); it solves the union directly, so no
-    /// second term appears.
+    /// **Why the composed certificate is sound** (Definition 2): each
+    /// part's artifact covers every point of the part within its radius
+    /// (the anticover property of GMM), so the union covers the whole
+    /// input within `max_i r_i`
+    /// ([`Coreset::merge`](diversity_core::coreset::Coreset::merge)),
+    /// and the report's `coreset_radius` is that max. The combiner
+    /// solves the union directly, so no second radius term appears
+    /// ([`Coreset::deepen`](diversity_core::coreset::Coreset::deepen)).
     ///
     /// Indices in the report are positions in the original input
     /// (through the partition's validated `global_indices`). No
-    /// `(α+ε)` [`Certificate`] is attached — like
-    /// [`run_dynamic`](Task::run_dynamic), per-shard accuracy is
-    /// governed by the engines' cover structure, and the per-run
-    /// `coreset_radius` is the honest accuracy witness. On the
-    /// `tests/unified_api.rs` conformance problems the result stays
-    /// within the sequential backend's `α` of `run_seq` (property-
-    /// tested in `tests/coreset_laws.rs`).
+    /// `(α+ε)` [`Certificate`] is attached, as on the warm path; the
+    /// per-run `coreset_radius` is the accuracy witness.
     pub fn run_sharded<P, M>(
         &self,
         partitions: &Partitions<P>,
@@ -988,68 +974,7 @@ impl Task {
         P: Clone + Send + Sync,
         M: Metric<P>,
     {
-        // One driver, two doors: the shared MapReduce path owns
-        // validation, budget resolution and report assembly; only the
-        // round-1 substrate (and the backend tag) differ.
         self.run_mapreduce(partitions, metric, runtime, Strategy::ShardedDynamic)
-    }
-
-    /// The sharded round driver behind [`Strategy::ShardedDynamic`]:
-    /// per-shard dynamic engines, artifact merge, shared combiner.
-    fn sharded_outcome<P, M>(
-        &self,
-        partitions: &Partitions<P>,
-        metric: &M,
-        runtime: &MapReduceRuntime,
-        k_prime: usize,
-    ) -> MrOutcome
-    where
-        P: Clone + Send + Sync,
-        M: Metric<P>,
-    {
-        let mut stats = MrStats::default();
-
-        // Round 1: per-shard dynamic engines. Each reducer builds the
-        // cover hierarchy for its shard (in a serving deployment the
-        // engine is long-lived and this is amortized over updates) and
-        // extracts the maintained core-set with global provenance.
-        let (round1_out, round1_stats) = runtime.run_round(
-            "round1:dynamic-coreset",
-            &partitions.parts,
-            |part_id, part: &Vec<P>| {
-                if part.is_empty() {
-                    // A drained shard contributes the merge identity:
-                    // empty points, radius 0 (`Coreset::empty`'s law).
-                    return Coreset::empty(k_prime);
-                }
-                let mut engine = DynamicDiversity::new(metric);
-                for p in part {
-                    engine.insert(p.clone());
-                }
-                // Insert-only engine: ids are local insertion order.
-                let globals = &partitions.global_indices[part_id];
-                engine
-                    .extract_coreset(self.problem, self.k, k_prime)
-                    .map_sources(|local| globals[local as usize] as u64)
-            },
-            Vec::len,
-            Coreset::len,
-        );
-        stats.rounds.push(round1_stats);
-
-        // Shuffle + round 2: merge (radius = max of shards) and run the
-        // shared 2-round combiner on the union.
-        let union = Coreset::merge_all(round1_out).expect("at least one partition");
-        let (solution, solve_input_size, coreset_radius, round2_stats) =
-            solve_union(self.problem, union, metric, self.k, runtime, "round2:solve");
-        stats.rounds.push(round2_stats);
-
-        MrOutcome {
-            solution,
-            solve_input_size,
-            coreset_radius,
-            stats,
-        }
     }
 }
 
@@ -1437,22 +1362,19 @@ mod tests {
         for (&g, p) in report.indices.iter().zip(&report.points) {
             assert_eq!(&pts[g], p, "global index must recover the point");
         }
-        // The composed certificate is the max of the per-shard
+        // The composed certificate is the max of the per-part
         // extraction radii — recompute them directly.
         let expected = parts
             .parts
             .iter()
             .map(|part| {
-                let mut engine = DynamicDiversity::new(Euclidean);
-                for p in part {
-                    engine.insert(p.clone());
-                }
-                engine.extract_coreset(Problem::RemoteEdge, 4, 16).radius()
+                pipeline::extract_coreset_artifact(Problem::RemoteEdge, part, &Euclidean, 4, 16)
+                    .radius()
             })
             .fold(0.0f64, f64::max);
         assert_eq!(report.coreset_radius, Some(expected));
         assert_eq!(report.memory.len(), 2, "round1 + combiner");
-        assert_eq!(report.memory[0].stage, "round1:dynamic-coreset");
+        assert_eq!(report.memory[0].stage, "round1:coreset");
 
         // The Strategy route lands in the same driver.
         let via_strategy = task

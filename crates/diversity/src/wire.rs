@@ -33,7 +33,6 @@ use crate::report::{Backend, Certificate, Degradation, Report, StageMemory, Stag
 use crate::task::{Budget, Projection, Task};
 use diversity_core::coreset::Coreset;
 use diversity_core::Problem;
-use diversity_dynamic::{EngineState, NodeState};
 use diversity_obs::{
     Bucket, CounterEntry, GaugeEntry, HistogramEntry, HistogramSnapshot, Snapshot,
 };
@@ -837,56 +836,6 @@ impl<P: BinRead> BinRead for Coreset<P> {
             });
         }
         Ok(Coreset::new(points, sources, weights, k_prime, radius))
-    }
-}
-
-impl<P: BinWrite> BinWrite for NodeState<P> {
-    fn write_bin(&self, out: &mut Vec<u8>) {
-        self.id.write_bin(out);
-        self.point.write_bin(out);
-        self.level.write_bin(out);
-        self.parent.write_bin(out);
-        self.children.write_bin(out);
-        self.bucketed.write_bin(out);
-    }
-}
-
-impl<P: BinRead> BinRead for NodeState<P> {
-    fn read_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeState {
-            id: BinRead::read_bin(r)?,
-            point: BinRead::read_bin(r)?,
-            level: BinRead::read_bin(r)?,
-            parent: BinRead::read_bin(r)?,
-            children: BinRead::read_bin(r)?,
-            bucketed: BinRead::read_bin(r)?,
-        })
-    }
-}
-
-impl<P: BinWrite> BinWrite for EngineState<P> {
-    fn write_bin(&self, out: &mut Vec<u8>) {
-        self.nodes.write_bin(out);
-        self.root.write_bin(out);
-        self.top_level.write_bin(out);
-        self.next_id.write_bin(out);
-        self.epsilon.write_bin(out);
-        self.dim.write_bin(out);
-        self.max_depth.write_bin(out);
-    }
-}
-
-impl<P: BinRead> BinRead for EngineState<P> {
-    fn read_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
-        Ok(EngineState {
-            nodes: BinRead::read_bin(r)?,
-            root: BinRead::read_bin(r)?,
-            top_level: BinRead::read_bin(r)?,
-            next_id: BinRead::read_bin(r)?,
-            epsilon: BinRead::read_bin(r)?,
-            dim: BinRead::read_bin(r)?,
-            max_depth: BinRead::read_bin(r)?,
-        })
     }
 }
 

@@ -24,7 +24,6 @@
 //! `O(c^O(1) · depth)` — independent of the number of alive points.
 
 use crate::node::Node;
-use crate::state::CorruptState;
 use crate::stats::UpdateStats;
 use diversity_core::doubling::{distance_to_scale, scale_to_distance};
 use metric::Metric;
@@ -636,114 +635,6 @@ impl<P: Clone> CoverHierarchy<P> {
     /// The configured duplicate-bucket depth.
     pub fn max_depth(&self) -> u32 {
         self.max_depth
-    }
-
-    /// All `(id, node)` pairs in ascending id order — the deterministic
-    /// traversal a checkpoint serializes (the `HashMap`'s own order
-    /// would leak hasher state into the wire format).
-    pub fn nodes_sorted(&self) -> Vec<(u64, &Node<P>)> {
-        let mut out: Vec<(u64, &Node<P>)> = self.nodes.iter().map(|(&id, n)| (id, n)).collect();
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out
-    }
-
-    /// Rebuilds a hierarchy from exported nodes — the resume path of
-    /// `DynamicDiversity::state`/`resume`. The residence index is
-    /// reconstructed from the node levels; each node's `children` order
-    /// is preserved exactly, so descents (and therefore solves) on the
-    /// rebuilt hierarchy are bit-identical to the exported one.
-    ///
-    /// # Panics
-    /// Panics when the state's links are inconsistent — the legacy
-    /// contract for harness callers that control their own states. A
-    /// serving layer restoring wire-received state should use
-    /// [`try_from_nodes`](Self::try_from_nodes) and degrade instead.
-    pub fn from_nodes(
-        max_depth: u32,
-        root: Option<u64>,
-        top_level: i32,
-        nodes: Vec<(u64, Node<P>)>,
-    ) -> Self {
-        Self::try_from_nodes(max_depth, root, top_level, nodes)
-            .unwrap_or_else(|e| panic!("{}", e.reason))
-    }
-
-    /// Fallible form of [`from_nodes`](Self::from_nodes): returns
-    /// [`CorruptState`] when the state's *links* are inconsistent —
-    /// duplicate ids, dangling parents, a parent not strictly above its
-    /// child, children lists out of sync with the parent pointers, or a
-    /// root mismatch. A checkpoint produced by `state()` always passes;
-    /// this guards hand-assembled or wire-corrupted states. No metric
-    /// is available here, so *geometric* invariants (covering
-    /// distances, separation) are **not** checked — a state with
-    /// consistent links but wrong geometry resumes silently and answers
-    /// badly; call [`validate`](Self::validate) with the metric after
-    /// resuming when the state comes from an untrusted source.
-    pub fn try_from_nodes(
-        max_depth: u32,
-        root: Option<u64>,
-        top_level: i32,
-        nodes: Vec<(u64, Node<P>)>,
-    ) -> Result<Self, CorruptState> {
-        let corrupt = |reason: String| Err(CorruptState { reason });
-        let mut h = Self::new(max_depth);
-        h.root = root;
-        h.top_level = top_level;
-        for (id, node) in nodes {
-            h.by_level.entry(node.level).or_default().insert(id);
-            let prev = h.nodes.insert(id, node);
-            if prev.is_some() {
-                return corrupt(format!("duplicate node id {id} in checkpoint"));
-            }
-        }
-        match root {
-            None => {
-                if !h.nodes.is_empty() {
-                    return corrupt("rootless checkpoint holds nodes".into());
-                }
-            }
-            Some(r) => {
-                let Some(rn) = h.nodes.get(&r) else {
-                    return corrupt(format!("checkpoint root {r} is not a node"));
-                };
-                if rn.parent.is_some() {
-                    return corrupt(format!("checkpoint root {r} has a parent"));
-                }
-                if rn.level != top_level {
-                    return corrupt(format!(
-                        "checkpoint root {r} does not reside at the top level"
-                    ));
-                }
-            }
-        }
-        for (&id, node) in &h.nodes {
-            match node.parent {
-                None => {
-                    if Some(id) != h.root {
-                        return corrupt(format!("non-root {id} without parent"));
-                    }
-                }
-                Some(pid) => {
-                    let Some(p) = h.nodes.get(&pid) else {
-                        return corrupt(format!("node {id} has dangling parent {pid}"));
-                    };
-                    if p.level <= node.level {
-                        return corrupt(format!("checkpoint parent {pid} not above child {id}"));
-                    }
-                    if !p.children.contains(&id) {
-                        return corrupt(format!(
-                            "checkpoint parent {pid} does not list child {id}"
-                        ));
-                    }
-                }
-            }
-            for &child in &node.children {
-                if h.nodes.get(&child).map(|c| c.parent) != Some(Some(id)) {
-                    return corrupt(format!("child list of {id} out of sync at {child}"));
-                }
-            }
-        }
-        Ok(h)
     }
 
     // -----------------------------------------------------------------

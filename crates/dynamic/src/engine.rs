@@ -5,7 +5,6 @@ use crate::cover::CoverHierarchy;
 use crate::solve::{
     extract_artifact, extract_coreset, solve_on_coreset, CoresetInfo, DynamicSolution,
 };
-use crate::state::EngineState;
 use crate::stats::UpdateStats;
 use diversity_core::coreset::{Coreset, CoresetSource};
 use diversity_core::Problem;
@@ -210,56 +209,6 @@ impl<P: Clone + Sync, M: Metric<P>> DynamicDiversity<P, M> {
     /// support).
     pub fn validate(&self) {
         self.cover.validate(&self.metric);
-    }
-
-    /// The checkpointable state, mirroring the streaming
-    /// `Smm::state`/[`resume`](Self::resume) pair: serialize it with
-    /// serde to persist a long-lived engine (or a serving shard across
-    /// a pool snapshot), then [`resume`](Self::resume). The snapshot is
-    /// deterministic (nodes ascend by id) and **lossless for queries**
-    /// — see [`EngineState`] for the exact contract. Unlike the
-    /// streaming processors, whose state is borrowed (`&DoublingCore`),
-    /// the engine's nodes live in a `HashMap`, so the snapshot is
-    /// assembled by value.
-    pub fn state(&self) -> EngineState<P> {
-        EngineState {
-            nodes: crate::state::export(&self.cover),
-            root: self.cover.root_id(),
-            top_level: self.cover.top_level(),
-            next_id: self.next_id,
-            epsilon: self.config.epsilon,
-            dim: self.config.dim,
-            max_depth: self.config.max_depth,
-        }
-    }
-
-    /// Resumes from a checkpointed state. Queries on the resumed engine
-    /// are bit-identical to the engine that produced the state; update
-    /// counters restart from zero ([`UpdateStats`] describes work done
-    /// by this process, not structure).
-    ///
-    /// Structurally inconsistent states — truncated or bit-flipped
-    /// wire bytes, hand-assembled links — return
-    /// [`CorruptState`](crate::CorruptState) instead of panicking, so
-    /// a restore path can reject a bad checkpoint and keep serving
-    /// (see `CoverHierarchy::try_from_nodes` for exactly what is
-    /// checked). States produced by [`state`](Self::state) always
-    /// resume.
-    pub fn resume(metric: M, state: EngineState<P>) -> Result<Self, crate::CorruptState> {
-        let config = DynamicConfig {
-            epsilon: state.epsilon,
-            dim: state.dim,
-            max_depth: state.max_depth,
-        };
-        let cover =
-            crate::state::import(state.max_depth, state.root, state.top_level, state.nodes)?;
-        Ok(Self {
-            cover,
-            metric,
-            config,
-            stats: UpdateStats::default(),
-            next_id: state.next_id,
-        })
     }
 }
 

@@ -57,13 +57,11 @@ pub mod cover;
 pub mod engine;
 pub mod node;
 pub mod solve;
-pub mod state;
 pub mod stats;
 
 pub use config::DynamicConfig;
 pub use engine::{DynamicDiversity, PointId};
 pub use solve::{CoresetInfo, DynamicSolution};
-pub use state::{CorruptState, EngineState, NodeState};
 pub use stats::UpdateStats;
 
 // The composition vocabulary the engine's extraction speaks (see

@@ -9,7 +9,7 @@
 //!
 //! | site constant                | kind                  | effect at the call site |
 //! |------------------------------|-----------------------|--------------------------|
-//! | [`sites::SHARD_MUTATE`]      | [`FaultKind::ShardPanic`]    | `panic!` inside a shard engine mutation (the pool's `catch_unwind` isolates it and quarantines the shard) |
+//! | [`sites::SHARD_MUTATE`]      | [`FaultKind::ShardPanic`]    | `panic!` inside a shard mutation (the pool's `catch_unwind` isolates it and quarantines the shard) |
 //! | [`sites::LOCK_HOLD`]         | [`FaultKind::SlowLock`]      | sleeps `slow_ms` while a shard lock is **held** (a straggler / lock-convoy) |
 //! | [`sites::CHECKPOINT_BYTES`]  | [`FaultKind::CorruptBytes`]  | truncates serialized checkpoint text so the restore path must reject it |
 //! | [`sites::MR_PARTITION`]      | [`FaultKind::DropPartition`] | drops one reducer's output, forcing the round driver's retry-with-reshuffle |
@@ -30,15 +30,19 @@
 //! reproducible, which is what the chaos harness's determinism audit
 //! checks.
 //!
-//! ## Cost model
+//! ## Who owns a plan
 //!
-//! Mirrors the obs recorder exactly: nothing happens unless a plan is
-//! [`install`]ed — every hook first checks one process-global relaxed
-//! `AtomicBool`, so production builds pay ~one atomic load per
-//! potential fault. With a plan installed, each visit takes a short
-//! mutex-protected counter bump.
+//! A plan belongs to what it perturbs. The serving pool takes one with
+//! `ShardPool::with_faults` and rolls its five sites
+//! ([`sites::SHARD_MUTATE`], [`sites::LOCK_HOLD`], [`sites::QUERY`],
+//! [`sites::RECOVERY`], [`sites::REBALANCE`]) on it through the
+//! [`FaultPlan`] methods; a pool without a plan rolls nothing, so pools
+//! in one process never see each other's faults. [`FaultPlan::disarm`]
+//! ends a chaos phase without rebuilding the pool.
 //!
-//! ## Enabling
+//! Only the MapReduce site ([`sites::MR_PARTITION`]) still reads a
+//! process-global plan: [`install`] one and [`should_drop`] consults it.
+//! With nothing installed that hook costs one relaxed atomic load.
 //!
 //! ```
 //! use diversity_faults as faults;
@@ -54,7 +58,7 @@
 //! assert_eq!(plan.log().len(), 1);
 //! ```
 //!
-//! The `DIVMAX_FAULTS` environment spec ([`install_from_env`],
+//! The `DIVMAX_FAULTS` environment spec ([`FaultPlan::from_env`],
 //! strict-parsed — see [`FaultSpec::parse`]) lets CI chaos jobs pin a
 //! seed without code changes.
 
@@ -65,10 +69,10 @@ use std::time::Duration;
 
 /// The named injection points threaded through the workspace. Each
 /// constant documents which layer visits it; rates come from the
-/// installed [`FaultSpec`].
+/// plan's [`FaultSpec`].
 pub mod sites {
-    /// Inside a shard engine **mutation** (insert/delete), under the
-    /// shard's write lock — fires [`super::FaultKind::ShardPanic`].
+    /// Inside a shard **mutation** (insert/delete), before it changes
+    /// anything — fires [`super::FaultKind::ShardPanic`].
     pub const SHARD_MUTATE: &str = "serve.shard.mutate";
     /// While a shard write lock is **held** — fires
     /// [`super::FaultKind::SlowLock`] (sleeps `slow_ms`).
@@ -265,8 +269,10 @@ fn decision(seed: u64, site: &str, seq: u64) -> f64 {
 }
 
 /// A seeded fault plan: per-site visit counters, the spec's rates, and
-/// the ordered log of fired events. Install one process-globally with
-/// [`install`]; the injection free functions below consult it.
+/// the ordered log of fired events. Hand one to what it perturbs (the
+/// serving pool's `with_faults`), which rolls its sites through the
+/// methods below; [`install`] one process-globally for
+/// [`sites::MR_PARTITION`].
 #[derive(Debug)]
 pub struct FaultPlan {
     spec: FaultSpec,
@@ -274,6 +280,9 @@ pub struct FaultPlan {
     counters: Mutex<HashMap<&'static str, u64>>,
     /// Every fired event, in firing order.
     log: Mutex<Vec<FaultEvent>>,
+    /// Set by [`disarm`](Self::disarm): every later visit passes clean
+    /// and uncounted.
+    disarmed: AtomicBool,
 }
 
 impl FaultPlan {
@@ -289,7 +298,85 @@ impl FaultPlan {
             spec,
             counters: Mutex::new(HashMap::new()),
             log: Mutex::new(Vec::new()),
+            disarmed: AtomicBool::new(false),
         }
+    }
+
+    /// A plan from the `DIVMAX_FAULTS` environment spec
+    /// ([`FaultSpec::parse`]). Unset → `None`. Set but invalid → `None`
+    /// too (never a half-parsed plan), with a once-per-process stderr
+    /// warning and the `env.invalid_value` counters through the obs
+    /// machinery.
+    pub fn from_env() -> Option<Self> {
+        let raw = std::env::var("DIVMAX_FAULTS").ok()?;
+        match FaultSpec::parse(&raw) {
+            Ok(spec) => Some(Self::from_spec(spec)),
+            Err(why) => {
+                diversity_obs::env::report_rejected("DIVMAX_FAULTS", &raw, &why, "no fault plan");
+                None
+            }
+        }
+    }
+
+    /// Ends the plan: every later visit passes clean and is not
+    /// counted, so the log stays as it was. A harness calls this where
+    /// a chaos phase ends; the plan's owner keeps running fault-free.
+    pub fn disarm(&self) {
+        self.disarmed.store(true, Ordering::Release);
+    }
+
+    /// `panic!`s when this visit to `site` fires
+    /// ([`FaultKind::ShardPanic`]). Call **inside** the `catch_unwind`
+    /// scope whose isolation is under test.
+    pub fn panic_point(&self, site: &'static str) {
+        if let Some(seq) = self.roll(site, FaultKind::ShardPanic, self.spec.panic) {
+            panic!("injected fault: shard panic at {site} (seq {seq})");
+        }
+    }
+
+    /// Sleeps `slow_ms` when this visit to `site` fires
+    /// ([`FaultKind::SlowLock`]); call while holding the lock under
+    /// stress.
+    pub fn slow_point(&self, site: &'static str) {
+        if self
+            .roll(site, FaultKind::SlowLock, self.spec.slow)
+            .is_some()
+        {
+            std::thread::sleep(Duration::from_millis(self.spec.slow_ms));
+        }
+    }
+
+    /// `true` when this visit to `site` should fail transiently
+    /// ([`FaultKind::Transient`]); the caller retries with backoff.
+    pub fn should_fail(&self, site: &'static str) -> bool {
+        self.roll(site, FaultKind::Transient, self.spec.transient)
+            .is_some()
+    }
+
+    /// `true` when this visit's MapReduce output should be discarded
+    /// ([`FaultKind::DropPartition`]).
+    pub fn should_drop(&self, site: &'static str) -> bool {
+        self.roll(site, FaultKind::DropPartition, self.spec.drop)
+            .is_some()
+    }
+
+    /// When this visit to `site` fires ([`FaultKind::CorruptBytes`]),
+    /// truncates `text` at a deterministic interior position (so
+    /// serialized JSON loses its closing delimiter) and returns `true`.
+    pub fn corrupt_text(&self, site: &'static str, text: &mut String) -> bool {
+        let Some(seq) = self.roll(site, FaultKind::CorruptBytes, self.spec.corrupt) else {
+            return false;
+        };
+        if text.len() < 2 {
+            text.clear();
+            return true;
+        }
+        let mut pos = 1 + (splitmix64(seq ^ 0xC0DE_C0DE) as usize) % (text.len() - 1);
+        while !text.is_char_boundary(pos) {
+            pos -= 1;
+        }
+        text.truncate(pos);
+        true
     }
 
     /// The spec this plan decides with.
@@ -307,6 +394,9 @@ impl FaultPlan {
     /// Returns the firing visit's `seq`, or `None` when the visit
     /// passes clean.
     fn roll(&self, site: &'static str, kind: FaultKind, rate: f64) -> Option<u64> {
+        if self.disarmed.load(Ordering::Acquire) {
+            return None;
+        }
         let seq = {
             let mut counters = self.counters.lock().unwrap_or_else(|e| e.into_inner());
             let c = counters.entry(site).or_insert(0);
@@ -334,167 +424,40 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// The installed plan. Only consulted after [`ENABLED`] reads true.
 static GLOBAL: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
 
-/// Installs `plan` as the process-global fault source, replacing any
-/// previous one. Every injection point in the workspace starts
-/// consulting it immediately.
+/// Installs `plan` as the process-global source of
+/// [`sites::MR_PARTITION`] faults, replacing any previous one.
 pub fn install(plan: Arc<FaultPlan>) {
     let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
     *slot = Some(plan);
     ENABLED.store(true, Ordering::Release);
 }
 
-/// Removes the installed plan (injection points revert to the
-/// one-atomic disabled path) and returns it, so a harness can audit
-/// its [`FaultPlan::log`].
+/// Removes the installed plan (the hook reverts to the one-atomic
+/// disabled path) and returns it, so a harness can audit its
+/// [`FaultPlan::log`].
 pub fn uninstall() -> Option<Arc<FaultPlan>> {
     let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
     ENABLED.store(false, Ordering::Release);
     slot.take()
 }
 
-/// Whether a fault plan is installed — the single relaxed atomic load
-/// every injection point pays when disabled.
+/// Whether a global plan is installed — the single relaxed atomic load
+/// the hook pays when disabled.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The installed plan, if any (for log audits mid-run).
-pub fn plan() -> Option<Arc<FaultPlan>> {
-    if !enabled() {
-        return None;
-    }
-    GLOBAL.read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Runs `f` against the installed plan, if any.
-#[inline]
-fn with_plan(f: impl FnOnce(&FaultPlan)) {
-    if !enabled() {
-        return;
-    }
-    let slot = GLOBAL.read().unwrap_or_else(|e| e.into_inner());
-    if let Some(p) = slot.as_deref() {
-        f(p);
-    }
-}
-
-/// Installs a plan from the `DIVMAX_FAULTS` environment spec
-/// ([`FaultSpec::parse`]). Unset → no plan, returns `false`. Set but
-/// invalid → **no plan** (never a half-parsed one), a once-per-process
-/// stderr warning plus the `env.invalid_value` counters through the
-/// obs machinery, returns `false`.
-pub fn install_from_env() -> bool {
-    let Ok(raw) = std::env::var("DIVMAX_FAULTS") else {
-        return false;
-    };
-    match FaultSpec::parse(&raw) {
-        Ok(spec) => {
-            install(Arc::new(FaultPlan::from_spec(spec)));
-            true
-        }
-        Err(why) => {
-            diversity_obs::env::report_rejected("DIVMAX_FAULTS", &raw, &why, "no fault plan");
-            false
-        }
-    }
-}
-
-/// [`sites::SHARD_MUTATE`]-style injection: `panic!`s when the visit
-/// fires. Call **inside** the `catch_unwind` scope whose isolation is
-/// under test.
-#[inline]
-pub fn panic_point(site: &'static str) {
-    if !enabled() {
-        return;
-    }
-    trip_panic(site);
-}
-
-#[cold]
-fn trip_panic(site: &'static str) {
-    let mut fired = None;
-    with_plan(|p| fired = p.roll(site, FaultKind::ShardPanic, p.spec.panic));
-    if let Some(seq) = fired {
-        panic!("injected fault: shard panic at {site} (seq {seq})");
-    }
-}
-
-/// [`sites::LOCK_HOLD`]-style injection: sleeps `slow_ms` when the
-/// visit fires (call while holding the lock being stressed).
-#[inline]
-pub fn slow_point(site: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let mut sleep_ms = None;
-    with_plan(|p| {
-        if p.roll(site, FaultKind::SlowLock, p.spec.slow).is_some() {
-            sleep_ms = Some(p.spec.slow_ms);
-        }
-    });
-    if let Some(ms) = sleep_ms {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-}
-
-/// [`sites::MR_PARTITION`]-style injection: `true` when this visit's
-/// output should be discarded (forcing the caller's retry path).
+/// [`sites::MR_PARTITION`]-style injection against the installed plan:
+/// `true` when this visit's output should be discarded (forcing the
+/// caller's retry path).
 #[inline]
 pub fn should_drop(site: &'static str) -> bool {
     if !enabled() {
         return false;
     }
-    let mut fired = false;
-    with_plan(|p| {
-        fired = p
-            .roll(site, FaultKind::DropPartition, p.spec.drop)
-            .is_some()
-    });
-    fired
-}
-
-/// [`sites::QUERY`]/[`sites::RECOVERY`]-style injection: `true` when
-/// this visit should fail transiently (the caller retries with
-/// backoff).
-#[inline]
-pub fn should_fail(site: &'static str) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let mut fired = false;
-    with_plan(|p| {
-        fired = p
-            .roll(site, FaultKind::Transient, p.spec.transient)
-            .is_some()
-    });
-    fired
-}
-
-/// [`sites::CHECKPOINT_BYTES`]-style injection: when the visit fires,
-/// truncates `text` at a deterministic interior position (guaranteed
-/// to make serialized JSON unparseable — the closing delimiter is
-/// lost) and returns `true`.
-#[inline]
-pub fn corrupt_text(site: &'static str, text: &mut String) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let mut fired = None;
-    with_plan(|p| fired = p.roll(site, FaultKind::CorruptBytes, p.spec.corrupt));
-    let Some(seq) = fired else {
-        return false;
-    };
-    if text.len() < 2 {
-        text.clear();
-        return true;
-    }
-    let mut pos = 1 + (splitmix64(seq ^ 0xC0DE_C0DE) as usize) % (text.len() - 1);
-    while !text.is_char_boundary(pos) {
-        pos -= 1;
-    }
-    text.truncate(pos);
-    true
+    let slot = GLOBAL.read().unwrap_or_else(|e| e.into_inner());
+    slot.as_deref().is_some_and(|p| p.should_drop(site))
 }
 
 #[cfg(test)]
@@ -517,17 +480,26 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hooks_are_inert() {
+    fn disabled_hook_is_inert() {
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        panic_point(sites::SHARD_MUTATE); // must not panic
-        slow_point(sites::LOCK_HOLD);
         assert!(!should_drop(sites::MR_PARTITION));
-        assert!(!should_fail(sites::QUERY));
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn a_disarmed_plan_passes_every_visit_uncounted() {
+        let plan = FaultPlan::from_spec(all_rates(5, 1.0));
+        assert!(plan.should_fail(sites::QUERY));
+        plan.disarm();
+        plan.panic_point(sites::SHARD_MUTATE); // must not panic
+        plan.slow_point(sites::LOCK_HOLD);
+        assert!(!plan.should_fail(sites::QUERY));
+        assert!(!plan.should_drop(sites::MR_PARTITION));
         let mut s = String::from("{\"k\":1}");
-        assert!(!corrupt_text(sites::CHECKPOINT_BYTES, &mut s));
+        assert!(!plan.corrupt_text(sites::CHECKPOINT_BYTES, &mut s));
         assert_eq!(s, "{\"k\":1}");
-        assert!(plan().is_none());
+        assert_eq!(plan.log().len(), 1, "only the armed visit fired");
     }
 
     #[test]
@@ -599,29 +571,36 @@ mod tests {
 
     #[test]
     fn injected_panic_carries_the_site() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(FaultPlan::from_spec(all_rates(3, 1.0))));
-        let err = std::panic::catch_unwind(|| panic_point(sites::SHARD_MUTATE))
+        let plan = FaultPlan::from_spec(all_rates(3, 1.0));
+        let err = std::panic::catch_unwind(|| plan.panic_point(sites::SHARD_MUTATE))
             .expect_err("rate 1.0 must panic");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("injected fault"), "got: {msg}");
         assert!(msg.contains(sites::SHARD_MUTATE), "got: {msg}");
-        uninstall();
     }
 
     #[test]
     fn corruption_always_breaks_json() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(FaultPlan::from_spec(all_rates(11, 1.0))));
-        for payload in ["{}", "{\"nodes\":[1,2,3],\"root\":0}", "x"] {
+        let plan = FaultPlan::from_spec(all_rates(11, 1.0));
+        for payload in ["{}", "{\"ids\":[1,2,3],\"start\":1}", "x"] {
             let mut text = payload.to_string();
-            assert!(corrupt_text(sites::CHECKPOINT_BYTES, &mut text));
+            assert!(plan.corrupt_text(sites::CHECKPOINT_BYTES, &mut text));
             assert!(
                 text.len() < payload.len(),
                 "corruption must shorten {payload:?}"
             );
         }
-        uninstall();
+    }
+
+    #[test]
+    fn the_installed_plan_drives_the_mapreduce_hook() {
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let plan = Arc::new(FaultPlan::from_spec(all_rates(3, 1.0)));
+        install(plan.clone());
+        assert!(should_drop(sites::MR_PARTITION));
+        assert!(Arc::ptr_eq(&uninstall().expect("installed"), &plan));
+        assert!(!should_drop(sites::MR_PARTITION));
+        assert_eq!(plan.log().len(), 1);
     }
 
     #[test]

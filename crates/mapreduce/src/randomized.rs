@@ -81,7 +81,7 @@ where
     // Shuffle + round 2: the shared composition-law combiner.
     let union = Coreset::merge_all(round1_out).expect("at least one partition");
     let (solution, solve_input_size, coreset_radius, round2_stats) =
-        solve_union(problem, union, metric, k, runtime, "round2:solve");
+        solve_union(problem, &union, metric, k, runtime, "round2:solve");
     stats.rounds.push(round2_stats);
 
     MrOutcome {

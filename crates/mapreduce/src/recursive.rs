@@ -117,7 +117,7 @@ where
     // Final sequential solve on the surviving working set (the shared
     // union combiner — the working set's sources are already global).
     let (solution, solve_input_size, coreset_radius, final_stats) =
-        solve_union(problem, working, metric, k, runtime, "final:solve");
+        solve_union(problem, &working, metric, k, runtime, "final:solve");
     stats.rounds.push(final_stats);
 
     MrOutcome {

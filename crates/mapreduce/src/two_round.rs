@@ -68,7 +68,7 @@ where
 
     // ---- Round 2: sequential algorithm on the union ------------------
     let (solution, solve_input_size, coreset_radius, round2_stats) =
-        solve_union(problem, union, metric, k, runtime, "round2:solve");
+        solve_union(problem, &union, metric, k, runtime, "round2:solve");
     stats.rounds.push(round2_stats);
 
     MrOutcome {
@@ -79,21 +79,21 @@ where
     }
 }
 
-/// The shared combiner: one reducer takes a merged union [`Coreset`]
+/// The shared combiner: one reducer reads a merged union [`Coreset`]
 /// and runs the sequential `α`-approximation on it, returning the
 /// solution (indices are the artifact's sources — global indices for
 /// the MapReduce drivers), the solve-input size, the union's
 /// covering-radius certificate, and the round's stats. This is round 2
 /// of [`two_round`] and of the randomized variant, the final round of
-/// the recursive driver, and the combine step of the facade's
-/// sharded-dynamic backend.
+/// the recursive driver, and the combine step of the serving pool's
+/// warm query (which reads the selected points back out of `union`).
 ///
 /// # Panics
 /// Panics if `union` is empty or weighted (the 3-round generalized
 /// path has its own multiset combiner).
 pub fn solve_union<P, M>(
     problem: Problem,
-    union: Coreset<P>,
+    union: &Coreset<P>,
     metric: &M,
     k: usize,
     runtime: &MapReduceRuntime,
@@ -105,10 +105,9 @@ where
 {
     let solve_input_size = union.len();
     let coreset_radius = union.radius();
-    let union_input = vec![union];
     let (mut out, round_stats) = runtime.run_round(
         round_name,
-        &union_input,
+        std::slice::from_ref(union),
         |_, cs: &Coreset<P>| pipeline::solve_coreset(problem, cs, metric, k),
         Coreset::len,
         |sol: &Solution| sol.indices.len(),

@@ -12,7 +12,7 @@
 //! | 3 `ShardUnavailable` | a quarantined shard blocked the operation | `DivError` |
 //! | 4 `PoolUnavailable` | too few healthy shards to answer at all | `DivError` |
 //! | 5 `TransientFailure` | retries exhausted at an injection site | `DivError` |
-//! | 6 `CorruptState` | engine state failed validation | `DivError` |
+//! | 6 `CorruptState` | checkpointed state failed validation | `DivError` |
 //! | 7 `Overloaded` | admission control rejected the request | `String` |
 //! | 8 `ProtocolError` | the request frame/payload was unreadable | `String` |
 //! | 9 `ShuttingDown` | server is draining | `String` |

@@ -13,8 +13,9 @@
 //! CI smoke runs stay bounded while local runs can turn the pressure
 //! up.
 //!
-//! [`chaos_round`] is the fault-tolerant variant: run it with a seeded
-//! [`diversity_faults::FaultPlan`] installed and it drives the same
+//! [`chaos_round`] is the fault-tolerant variant: run it on a pool
+//! holding a seeded [`diversity_faults::FaultPlan`]
+//! ([`ShardPool::with_faults`]) and it drives the same
 //! concurrent schedule while *tolerating* the typed failure surface —
 //! updates may be refused ([`DivError::ShardUnavailable`],
 //! [`DivError::TransientFailure`]), answers may be degraded (a
@@ -62,7 +63,7 @@ pub struct ChurnOutcome<P> {
 
 /// What one **chaos** round produced ([`chaos_round`]): the
 /// [`ChurnOutcome`] accounting plus the fault-path tallies the caller
-/// audits against the installed plan's log.
+/// audits against the pool's plan's log.
 #[derive(Debug)]
 pub struct ChaosOutcome<P> {
     /// Handles *acknowledged* this round and still alive at the join —
@@ -108,7 +109,7 @@ pub fn env_ops(default: usize) -> usize {
 ///
 /// This driver expects a **fault-free** pool: any typed failure
 /// (shard unavailable, transient error) fails the calling test. Use
-/// [`chaos_round`] when a fault plan is installed.
+/// [`chaos_round`] when the pool holds a fault plan.
 ///
 /// # Panics
 /// Panics (failing the calling test) when a reader observes a
@@ -242,7 +243,7 @@ pub fn assert_degradation_consistent(d: &Degradation, shards: usize) {
 }
 
 /// Runs one **chaos** round: the same concurrent schedule as
-/// [`churn_round`], under an installed
+/// [`churn_round`], on a pool holding a
 /// [`diversity_faults::FaultPlan`]. Where the fault-free driver
 /// asserts that nothing fails, this one asserts that failures stay
 /// *typed and bounded*:
@@ -261,9 +262,10 @@ pub fn assert_degradation_consistent(d: &Degradation, shards: usize) {
 ///   panic fails the calling test.
 ///
 /// The join is **not** automatically a fault-free quiescent point —
-/// shards may still be quarantined. Callers typically uninstall the
-/// plan, [`ShardPool::recover_all`], and then run the usual ground-
-/// truth audits.
+/// shards may still be quarantined. Callers typically disarm the
+/// plan ([`diversity_faults::FaultPlan::disarm`]), call
+/// [`ShardPool::recover_all`], and then run the usual ground-truth
+/// audits.
 pub fn chaos_round<P, M>(
     pool: &ShardPool<P, M>,
     task: &Task,

@@ -1,20 +1,21 @@
 //! # diversity-serve
 //!
-//! The **warm-path serving layer**: a long-lived pool of fully dynamic
-//! shard engines that absorbs inserts/deletes continuously and answers
-//! `Task`-shaped queries from the maintained state — the layer the
-//! ROADMAP places below `Task::run_sharded`'s cold path.
+//! The **warm-path serving layer**: a long-lived pool of shards that
+//! absorbs inserts and deletes continuously and answers `Task`-shaped
+//! queries from maintained state — the layer the ROADMAP places below
+//! `Task::run_sharded`'s cold path.
 //!
 //! The pieces:
 //!
-//! * [`ShardPool`] — `N` [`diversity_dynamic::DynamicDiversity`]
-//!   engines behind per-shard `RwLock`s. Updates take one shard's
-//!   write lock; queries take read locks shard-by-shard, extract the
-//!   maintained core-sets, compose them with
+//! * [`ShardPool`] — `N` shards, each keeping round 1 of the paper's
+//!   2-round MapReduce algorithm current: the prefix of
+//!   `GMM(S_i, m + 1)` over its alive points, `m` the largest `k'`
+//!   asked so far (the [`prefix`] module). Updates compute under one
+//!   shard's read lock and publish under its write lock; queries read
+//!   every shard's first `k'` centers, compose them with
 //!   [`Coreset::merge`](diversity_core::coreset::Coreset::merge), and
-//!   finish with the same 2-round combiner every sharded run uses.
-//!   Answers are the standard [`diversity::Report`] with the composed
-//!   radius certificate.
+//!   finish with the same combiner every sharded run uses. Answers are
+//!   the standard [`diversity::Report`].
 //! * [`Router`] — where updates land ([`RoundRobin`], [`HashRouter`],
 //!   [`FnRouter`]); placement never affects soundness.
 //! * [`rebalance`] — live shard rebalancing on router skew:
@@ -26,48 +27,59 @@
 //!   atomically; pre-rebalance [`ShardedId`]s keep resolving through
 //!   a [`RemapEntry`] table.
 //! * [`PoolState`] / [`ShardPool::checkpoint`] /
-//!   [`ShardPool::restore`] — serde snapshots of the whole pool
-//!   (engine cover hierarchies included, via
-//!   [`diversity_dynamic::EngineState`]); restored pools answer
-//!   bit-identically.
+//!   [`ShardPool::restore`] — snapshots of the whole pool: per shard
+//!   its points with ids, the start id and the next id
+//!   ([`ShardState`]). The prefix is derived from them, so restored
+//!   pools answer bit-identically and seeding costs `O(1)` per point.
 //! * [`Serve`] — the extension trait that puts
 //!   [`serve`](Serve::serve) on `diversity::Task`: the caller's opt-in
 //!   to a persistent handle behind `Strategy::ShardedDynamic`.
 //! * [`churn`] — the reusable churn-stress driver the `serve_churn`
 //!   test (and any downstream soak test) is built on, plus its chaos
-//!   variant [`chaos_round`] for runs under an installed fault plan.
+//!   variant [`chaos_round`] for runs against a pool with a fault plan.
+//!
+//! ## Why a warm answer is exact
+//!
+//! A shard's answer for `k'` is its first `k'` centers (GMM-EXT
+//! problems add each center's first `k - 1` cluster members), with
+//! radius the `(k'+1)`-th insertion distance: every alive point of the
+//! shard lies within it of those centers. The union of the shards'
+//! answers certifies the union of their points within the largest
+//! radius by Definition 2, whatever the placement. And because each
+//! prefix equals a fresh traversal of its shard's part (start first,
+//! then by id), the answer equals `two_round`'s on those parts, value
+//! and selection bit for bit.
 //!
 //! ## Fault tolerance
 //!
 //! Each shard carries a [`ShardHealth`] state machine. A panicking
-//! mutation is caught under the shard's write lock (`catch_unwind`),
-//! the shard is **quarantined**, and recovery rebuilds its engine from
-//! the last checkpoint plus the log of acknowledged operations — so no
-//! acknowledged write is ever lost and a recovered shard answers
-//! bit-identically to one that never failed. While shards are
-//! quarantined (or miss a [`ShardPool::query_within`] deadline),
-//! queries **degrade** instead of failing: the surviving shards'
-//! core-sets merge (dropping a shard from
+//! mutation is caught (`catch_unwind`), the shard is **quarantined**,
+//! and recovery rebuilds it from the last checkpoint plus the log of
+//! acknowledged operations — so no acknowledged write is ever lost and
+//! a recovered shard answers bit-identically to one that never failed.
+//! While shards are quarantined (or miss a [`ShardPool::query_within`]
+//! deadline), queries **degrade** instead of failing: the surviving
+//! shards' core-sets merge (dropping a shard from
 //! [`Coreset::merge`](diversity_core::coreset::Coreset::merge) is
 //! sound — the union of the survivors' artifacts is a valid core-set
 //! of exactly the survivors' points) and the [`diversity::Report`]
 //! carries a [`diversity::Degradation`] block scoping the certificate.
-//! Deterministic fault injection lives in `diversity-faults`
-//! (`DIVMAX_FAULTS`); the pool's injection points are named in
-//! [`ShardPool`]'s docs.
+//! Deterministic fault injection lives in `diversity-faults`; a pool
+//! rolls its injection points (named in [`ShardPool`]'s docs) only on
+//! the plan handed to it with [`ShardPool::with_faults`].
 //!
 //! ## Cold vs warm
 //!
 //! ```text
-//! cold  Task::run_sharded(parts)   build N engines → extract → merge → solve   (per query!)
-//! warm  Task::serve(..) → pool     [engines live across queries]
-//!         pool.insert/delete       touch one shard's write lock, O(structure) work
-//!         pool.query(&task)        extract under read locks → merge → solve
+//! cold  Task::run_sharded(parts)   two_round: GMM per part → merge → solve     (per query)
+//! warm  Task::serve(..) → pool     [round 1 kept current across queries]
+//!         pool.insert/delete       one shard: ≤ m distances, or a resume from the first changed step
+//!         pool.query(&task)        read k' centers per shard → merge → solve
 //! ```
 //!
-//! The `ablation_serve` bench records the gap; the per-query engine
-//! builds dominate the cold path, so the warm path's advantage grows
-//! with the data while its own cost tracks only the core-set size.
+//! The `ablation_serve` bench records the gap; the cold path reruns
+//! GMM over every part per query, while a warm query costs only the
+//! core-set size.
 //!
 //! ## Quick start
 //!
@@ -96,6 +108,7 @@
 
 pub mod churn;
 pub mod pool;
+pub mod prefix;
 pub mod rebalance;
 pub mod router;
 pub mod task_ext;
@@ -105,7 +118,8 @@ pub use churn::{
     assert_degradation_consistent, chaos_round, churn_round, env_ops, value_loss, ChaosOutcome,
     ChurnConfig, ChurnOutcome,
 };
-pub use pool::{PoolState, ShardHealth, ShardPool, ShardedId};
+pub use pool::{PoolState, ShardHealth, ShardPool, ShardState, ShardedId};
+pub use prefix::ShardStats;
 pub use rebalance::{
     rebalance_state, RebalanceConfig, RebalanceReport, RebalanceStats, RemapEntry,
 };

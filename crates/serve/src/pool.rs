@@ -1,8 +1,9 @@
-//! The long-lived shard-engine pool — the warm path behind
+//! The long-lived shard pool — the warm path behind
 //! `Strategy::ShardedDynamic` — with per-shard fault isolation:
 //! panic quarantine, checkpoint+log recovery, and certified degraded
 //! answers when shards drop out.
 
+use crate::prefix::{Prefix, Removal, ShardStats};
 use crate::rebalance::{
     rebalance_state, RebalanceConfig, RebalanceReport, RebalanceStats, RemapEntry,
 };
@@ -10,8 +11,8 @@ use crate::router::{RoundRobin, Router, RouterState};
 use diversity::{Backend, Degradation, DivError, Report, StageMemory, StageTiming, Task};
 use diversity_core::coreset::Coreset;
 use diversity_core::Problem;
-use diversity_dynamic::{DynamicConfig, DynamicDiversity, EngineState, PointId, UpdateStats};
-use diversity_faults as faults;
+use diversity_dynamic::{DynamicConfig, PointId};
+use diversity_faults::{self as faults, FaultPlan};
 use diversity_mapreduce::two_round::solve_union;
 use diversity_mapreduce::MapReduceRuntime;
 use metric::Metric;
@@ -36,20 +37,20 @@ fn occupancy_gauge_names(pool_id: usize, shards: usize) -> Vec<String> {
         .collect()
 }
 
-/// Bits of a [`ShardedId`] encoding reserved for the per-shard
+/// Bits of a [`ShardedId`] encoding reserved for the shard-local
 /// [`PointId`]; the remaining high bits carry the shard index.
 const RAW_BITS: u32 = 48;
 
 /// A pool-wide point handle: the shard a point lives in plus its
-/// engine-local [`PointId`]. Encodes into a single `u64` (shard in the
-/// high 16 bits, engine id in the low 48) — the provenance the pool's
+/// shard-local [`PointId`]. Encodes into a single `u64` (shard in the
+/// high 16 bits, shard id in the low 48) — the provenance the pool's
 /// extracted [`Coreset`]s and [`Report`] indices carry, so a selected
 /// point can always be traced back to its shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardedId {
     /// Index of the owning shard.
     pub shard: usize,
-    /// The engine-local handle within that shard.
+    /// The shard-local handle.
     pub id: PointId,
 }
 
@@ -67,7 +68,7 @@ impl ShardedId {
     /// ids across shards.
     pub fn encode(self) -> u64 {
         let raw = self.id.raw();
-        assert!(raw < 1 << RAW_BITS, "engine id overflows the encoding");
+        assert!(raw < 1 << RAW_BITS, "shard id overflows the encoding");
         assert!(self.shard < 1 << 16, "shard index overflows the encoding");
         ((self.shard as u64) << RAW_BITS) | raw
     }
@@ -99,16 +100,48 @@ impl std::fmt::Display for ShardedId {
     }
 }
 
-/// A serde-able snapshot of an entire pool: one [`EngineState`] per
+/// One shard's checkpoint: its alive points with their ids, the start
+/// id and the next id to issue, plus the `ε` and dimension that size
+/// `Budget::Auto`. The maintained prefix is not part of it: it is a
+/// function of these, and the next query regrows it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ShardState<P> {
+    /// Alive ids, ascending.
+    pub ids: Vec<u64>,
+    /// The points behind `ids`, in the same order.
+    pub points: Vec<P>,
+    /// The traversal's start (`None` exactly when the shard is empty).
+    pub start: Option<u64>,
+    /// The id the next insert gets: ids are never reused.
+    pub next_id: u64,
+    /// [`DynamicConfig::epsilon`] of the pool.
+    pub epsilon: f64,
+    /// [`DynamicConfig::dim`] of the pool.
+    pub dim: u32,
+}
+
+impl<P> ShardState<P> {
+    /// Number of alive points.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` when the shard held no point.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+/// A serde-able snapshot of an entire pool: one [`ShardState`] per
 /// shard plus the router's opaque state. Produced by
 /// [`ShardPool::checkpoint`], consumed by [`ShardPool::restore`];
 /// queries on the restored pool are bit-identical to the live one
-/// (each shard's engine state round-trips losslessly, and the combiner
-/// is deterministic).
+/// (each shard's points, ids and start round-trip losslessly, and the
+/// traversal over them is deterministic).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PoolState<P> {
-    /// Per-shard engine checkpoints, in shard order.
-    pub shards: Vec<EngineState<P>>,
+    /// Per-shard checkpoints, in shard order.
+    pub shards: Vec<ShardState<P>>,
     /// The router's checkpointed state ([`Router::checkpoint`]) —
     /// always present, always tagged with the router kind, and stamped
     /// with the shard count it was routing over, so a restore can tell
@@ -125,12 +158,12 @@ pub struct PoolState<P> {
 impl<P> PoolState<P> {
     /// Total alive points across the checkpointed shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(EngineState::len).sum()
+        self.shards.iter().map(ShardState::len).sum()
     }
 
     /// `true` when no shard held a point.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(EngineState::is_empty)
+        self.shards.iter().all(ShardState::is_empty)
     }
 }
 
@@ -141,7 +174,7 @@ impl<P> PoolState<P> {
 ///  Healthy ────────────────────────────► Quarantined
 ///     ▲                                      │
 ///     │            rebuild succeeded         │ recovery begins (under
-///     └──────────── Recovering ◄─────────────┘ the shard write lock)
+///     └──────────── Recovering ◄─────────────┘ the shard's writer lock)
 /// ```
 ///
 /// * **Healthy** — serves queries, accepts updates.
@@ -149,11 +182,10 @@ impl<P> PoolState<P> {
 ///   *degraded*, see [`Degradation`]) and from
 ///   [`len`](ShardPool::len)/[`alive`](ShardPool::alive); updates
 ///   routed here trigger an in-line recovery attempt first.
-/// * **Recovering** — transient: the shard's engine is being rebuilt
-///   from its last checkpoint plus the acknowledged-operation log,
-///   under the shard's write lock. Ends in `Healthy` (rebuild
-///   succeeded) or back in `Quarantined` (transient faults exhausted
-///   the backoff budget).
+/// * **Recovering** — transient: the shard is being rebuilt from its
+///   last checkpoint plus the acknowledged-operation log, under the
+///   shard's writer lock. Ends in `Healthy` (rebuild succeeded) or back
+///   in `Quarantined` (transient faults exhausted the backoff budget).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ShardHealth {
@@ -162,7 +194,7 @@ pub enum ShardHealth {
     /// Excluded from queries; awaiting recovery.
     Quarantined = 1,
     /// Being rebuilt from checkpoint + log (held briefly, under the
-    /// shard's write lock).
+    /// shard's writer lock).
     Recovering = 2,
 }
 
@@ -176,37 +208,58 @@ impl ShardHealth {
     }
 }
 
-/// One acknowledged mutation, replayed during recovery. The engine
-/// assigns [`PointId`]s from a deterministic counter, so replaying the
-/// log in acknowledgement order reproduces the exact pre-failure
-/// state, ids included.
+/// One acknowledged mutation, replayed during recovery. Ids come from
+/// the shard's counter, so replaying the log in acknowledgement order
+/// reproduces the exact pre-failure state, ids and start included.
 enum Op<P> {
     Insert(P),
     Delete(PointId),
 }
 
-/// A shard's recovery material: the last checkpointed engine state
-/// plus every mutation acknowledged since. `base + log` always equals
-/// the acknowledged state of the shard, so recovery never loses an
+/// A shard's recovery material: the last checkpointed state plus every
+/// mutation acknowledged since. `base + log` always equals the
+/// acknowledged state of the shard, so recovery never loses an
 /// acknowledged write. [`ShardPool::checkpoint`] folds the log into a
 /// fresh `base` (truncating it), bounding replay time and log memory
 /// between checkpoints.
 struct RecoveryState<P> {
-    base: EngineState<P>,
+    base: ShardState<P>,
     log: Vec<Op<P>>,
 }
 
-/// One shard slot: the engine, its health, its recovery material, and
-/// its last-acknowledged occupancy (readable without any lock — what a
-/// degraded answer's coverage fraction uses for skipped shards).
-struct Shard<P, M> {
-    engine: RwLock<DynamicDiversity<P, M>>,
+/// One shard slot: the points and their prefix behind a read-write
+/// lock, the writer lock, its health, and its last-acknowledged
+/// occupancy (readable without any lock — what a degraded answer's
+/// coverage fraction uses for skipped shards).
+///
+/// Lock discipline: every change to `data` holds `writer` for its
+/// whole length — compute under `data`'s read lock, publish under its
+/// write lock — so queries wait on the write lock only while a change
+/// is swapped in, never while it is computed. Paths that take several
+/// shards take their writer locks in shard order, before any `data`
+/// lock.
+struct Shard<P> {
+    /// Serializes the shard's writers (updates, prefix growth,
+    /// recovery, checkpoints) and holds the recovery material.
+    writer: Mutex<RecoveryState<P>>,
+    data: RwLock<Prefix<P>>,
     health: AtomicU8,
-    recovery: Mutex<RecoveryState<P>>,
     occupancy: AtomicUsize,
 }
 
-impl<P, M> Shard<P, M> {
+impl<P> Shard<P> {
+    fn new(data: Prefix<P>, base: ShardState<P>) -> Self {
+        Self {
+            occupancy: AtomicUsize::new(data.len()),
+            writer: Mutex::new(RecoveryState {
+                base,
+                log: Vec::new(),
+            }),
+            data: RwLock::new(data),
+            health: AtomicU8::new(ShardHealth::Healthy as u8),
+        }
+    }
+
     fn health(&self) -> ShardHealth {
         ShardHealth::from_u8(self.health.load(Ordering::Acquire))
     }
@@ -233,80 +286,86 @@ struct Extraction<P> {
     total: usize,
     /// Largest single answering shard.
     max_shard: usize,
-    /// Time spent waiting on shard read locks.
+    /// Time spent waiting on shard locks.
     lock_wait_secs: f64,
     /// Last-acknowledged occupancy summed over the skipped shards.
     skipped_occupancy: usize,
 }
 
-/// A long-lived pool of `N` fully dynamic shard engines behind
-/// per-shard `RwLock`s: inserts and deletes route to one shard and
-/// take that shard's **write** lock only; queries take each shard's
-/// **read** lock just long enough to extract the maintained core-set,
-/// so concurrent readers never serialize behind each other and writers
-/// block only the shard they touch. This is the **warm path** the
-/// cold `Task::run_sharded` amortizes into: engine builds happen once
-/// (and incrementally, as traffic arrives), queries are
-/// extraction-only.
+/// A long-lived pool of `N` shards, each keeping the round-1 core-set
+/// of the paper's 2-round MapReduce algorithm current under inserts
+/// and deletes: the prefix of `GMM(S_i, m + 1)` over its alive points
+/// `S_i`, where `m` is the largest `k'` asked so far (see
+/// [`crate::prefix`]). Inserts and deletes route to one shard; queries
+/// read every shard's prefix under its read lock, compose the
+/// artifacts with [`Coreset::merge`], and solve the union with the
+/// same combiner `two_round` uses (`solve_union`).
 ///
-/// ## Why serving merged core-sets from drifting shards is sound
+/// ## Why a warm answer is `two_round`'s answer
 ///
-/// A query composes per-shard extractions through [`Coreset::merge`]
-/// and solves the union with the same 2-round combiner
-/// (`solve_union`) that `Strategy::ShardedDynamic` uses. Soundness
-/// follows from the paper's own composition theory:
+/// * A query for `k'` reads each shard's first `min(k', n_i)` centers
+///   (GMM-EXT problems add each center's first `k - 1` cluster members
+///   in id order, read off the chains). The shard's radius is the
+///   `(k'+1)`-th insertion distance: every alive point of the shard is
+///   within it of those centers (the anticover property of GMM).
+/// * The union of the shard artifacts covers the union of the shards
+///   within the largest radius: Definition 2's composition
+///   ([`Coreset::merge`]), which holds for arbitrary partitions, so
+///   routing and deletions cannot break it. The combiner solves the
+///   union directly (no [`Coreset::deepen`]), and the reported
+///   `coreset_radius` bounds the value loss through the proxy-function
+///   Lemmas 1–2.
+/// * The prefix equals a fresh traversal of the shard's part listed
+///   start first, then by id. So a quiescent query returns, bit for
+///   bit, what `two_round` (and `Task::run_sharded`) returns on those
+///   parts: same value, same radius, same points, with indices in
+///   [`ShardedId`] space instead of input positions.
 ///
-/// * each shard's extraction certifies that every point **currently
-///   alive in that shard** is within `r_i` of its artifact — the cover
-///   level's telescoped covering radius (`Σ_{j≤i} 2^j < 2^(i+1)`),
-///   i.e. the same triangle-inequality argument that underlies the
-///   streaming Lemmas 3–4;
-/// * the union of the artifacts then covers the union of the shards'
-///   alive sets within `max_i r_i` — Definition 2's composition law
-///   ([`Coreset::merge`]), stated for *arbitrary* partitions of the
-///   data, so it holds no matter how inserts were routed or how
-///   deletions have since reshaped each shard;
-/// * the combiner solves the union **directly** (no re-extraction), so
-///   no second radius term accrues ([`Coreset::deepen`] is never
-///   invoked), and the reported `coreset_radius = max_i r_i` bounds
-///   the solve's value loss through the proxy-function Lemmas 1–2.
+/// Shards drift independently under churn — grow, shrink, empty out
+/// (an empty shard contributes [`Coreset::empty`], the merge identity)
+/// — and every answer carries an honest certificate for exactly the
+/// points alive when each shard was read. The pool does **not**
+/// promise a cross-shard atomic snapshot: read locks are taken shard
+/// by shard, so a query concurrent with writes may see shard `A` before
+/// an insert and shard `B` after one.
 ///
-/// Shards therefore drift independently under churn — grow, shrink,
-/// even empty out (an empty shard contributes [`Coreset::empty`], the
-/// merge identity) — and every individual answer still carries an
-/// honest certificate for exactly the points alive at extraction time.
-/// What the pool does **not** promise is a cross-shard atomic
-/// snapshot: read locks are taken shard by shard, so a query
-/// concurrent with writes may see shard `A` before an insert and shard
-/// `B` after one. Each per-shard extraction is still internally
-/// consistent, and the composed certificate covers precisely the union
-/// of what was seen — the usual contract of a serving system that
-/// answers while absorbing traffic. Quiescent queries (no concurrent
-/// writers) are deterministic and equal to `Task::run_sharded` on the
-/// same shard contents.
+/// ## Update cost, and its cliff
+///
+/// An insert evaluates its distances to at most `m` centers; deleting
+/// a point that is not a center evaluates none. An update that changes
+/// the selection (the new point would have been picked, or a center
+/// died) resumes the traversal from that step, `n` evaluations per
+/// step, under the shard's read lock: queries keep reading the old
+/// prefix until the new one is published under a brief write lock. A
+/// query for a larger `k'` extends every shard's prefix once. That is
+/// also the cliff: one query with `k'` near a shard's size makes every
+/// later insert there cost about `n` distance evaluations, and an
+/// adversarial insert order (decreasing norm) recomputes on every
+/// insert.
 ///
 /// ## Fault tolerance
 ///
 /// The same composition law makes *partial* answers principled: a
 /// shard that cannot answer simply drops out of the merge, and the
 /// union of the surviving artifacts is still a valid core-set of
-/// exactly the union of the surviving shards' alive points. The pool
-/// exploits this end to end:
+/// exactly the union of the surviving shards' alive points. Faults are
+/// injected only through the pool's own plan
+/// ([`with_faults`](Self::with_faults)); a pool without one rolls
+/// nothing.
 ///
-/// * **Panic isolation.** Every engine mutation runs under
-///   `catch_unwind` (with the
-///   [`faults::sites::SHARD_MUTATE`] injection point inside the
-///   guarded scope). A panicking insert/delete can never leave a
-///   half-mutated shard visible: the shard is quarantined while the
-///   write lock is still held, and an in-line recovery is attempted
-///   immediately.
+/// * **Panic isolation.** Every mutation runs under `catch_unwind`
+///   (with the [`faults::sites::SHARD_MUTATE`] injection point inside
+///   the guarded scope). A panic while computing leaves the published
+///   shard untouched; a panic while publishing quarantines the shard
+///   before its write lock drops. Either way an in-line recovery is
+///   attempted immediately.
 /// * **Quarantine & recovery.** Each shard carries a
-///   [`ShardHealth`] state. Recovery rebuilds the engine from the
-///   shard's last checkpoint plus the log of every mutation
-///   acknowledged since — so acknowledged writes are never lost and a
-///   recovered shard is **bit-identical** to one that never failed.
-///   Transient faults during recovery ([`faults::sites::RECOVERY`])
-///   back off exponentially for up to
+///   [`ShardHealth`] state. Recovery rebuilds the shard from its last
+///   checkpoint plus the log of every mutation acknowledged since — so
+///   acknowledged writes are never lost and a recovered shard answers
+///   **bit-identically** to one that never failed. Transient faults
+///   during recovery ([`faults::sites::RECOVERY`]) back off
+///   exponentially for up to
 ///   [`RECOVERY_ATTEMPTS`](Self::RECOVERY_ATTEMPTS) tries; exhaustion
 ///   leaves the shard `Quarantined` and the update returns
 ///   [`DivError::ShardUnavailable`] while the rest of the pool keeps
@@ -321,14 +380,14 @@ struct Extraction<P> {
 ///   surviving points. Only when *no* shard answers does the query
 ///   fail, with [`DivError::PoolUnavailable`].
 /// * **Deadline budgets.** [`query_within`](Self::query_within) bounds
-///   a query's wall time: shards whose read lock cannot be acquired in
-///   time (e.g. a straggling writer holding it —
+///   a query's wall time: shards whose locks cannot be acquired in
+///   time (e.g. a straggling writer holding one —
 ///   [`faults::sites::LOCK_HOLD`]) or whose turn comes after the
 ///   deadline are skipped, degrading the answer instead of stalling
 ///   it.
-/// * **Transient retries.** Query admission retries injected/ambient
-///   transient failures ([`faults::sites::QUERY`]) with bounded
-///   backoff before giving up with [`DivError::TransientFailure`].
+/// * **Transient retries.** Query admission retries injected transient
+///   failures ([`faults::sites::QUERY`]) with bounded backoff before
+///   giving up with [`DivError::TransientFailure`].
 ///
 /// Construction: [`ShardPool::new`]/[`with_config`](Self::with_config)
 /// for an empty pool, `Task::serve` (the `Serve` extension trait) to
@@ -340,11 +399,13 @@ pub struct ShardPool<P, M> {
     /// brief outer read lock (never holding it across shard-lock
     /// acquisition), so in-flight queries on a superseded set finish
     /// undisturbed while new routes see the replacement.
-    shards: RwLock<Arc<Vec<Shard<P, M>>>>,
+    shards: RwLock<Arc<Vec<Shard<P>>>>,
     metric: M,
     config: DynamicConfig,
     router: Box<dyn Router<P>>,
     runtime: MapReduceRuntime,
+    /// The fault plan this pool rolls its injection sites on.
+    faults: Option<Arc<FaultPlan>>,
     /// This pool's telemetry namespace (`serve.pool{id}.…`).
     pool_id: usize,
     /// Precomputed occupancy gauge names, one per shard (shard count
@@ -362,7 +423,7 @@ pub struct ShardPool<P, M> {
     epoch: AtomicU64,
     /// Swap generation: bumped under the outer `shards` write lock on
     /// every committed rebalance. Writers re-check it after acquiring
-    /// a shard write lock — a mutation applied to a superseded shard
+    /// a shard writer lock — a mutation applied to a superseded shard
     /// set would be silently lost, so a stale writer retries against
     /// the fresh snapshot instead.
     generation: AtomicU64,
@@ -411,20 +472,38 @@ impl<P, M> ShardPool<P, M> {
     /// `Arc` clone — never across shard-lock acquisition — so a
     /// rebalance's swap (outer write lock) can never deadlock against
     /// readers or writers parked on shard locks.
-    fn shards(&self) -> Arc<Vec<Shard<P, M>>> {
+    fn shards(&self) -> Arc<Vec<Shard<P>>> {
         self.shards.read().clone()
     }
 
     /// The current shard set plus the swap generation it belongs to,
     /// read under one outer lock so the pair is consistent. Writers
-    /// re-check the generation after acquiring a shard write lock: a
+    /// re-check the generation after acquiring a shard writer lock: a
     /// mismatch means a rebalance swapped the set out from under them
     /// and the mutation must retry on the fresh snapshot (applying it
     /// to the superseded set would lose the write).
-    fn snapshot(&self) -> (Arc<Vec<Shard<P, M>>>, u64) {
+    fn snapshot(&self) -> (Arc<Vec<Shard<P>>>, u64) {
         let guard = self.shards.read();
         let generation = self.generation.load(Ordering::Acquire);
         (guard.clone(), generation)
+    }
+
+    fn panic_point(&self, site: &'static str) {
+        if let Some(plan) = &self.faults {
+            plan.panic_point(site);
+        }
+    }
+
+    fn slow_point(&self, site: &'static str) {
+        if let Some(plan) = &self.faults {
+            plan.slow_point(site);
+        }
+    }
+
+    fn should_fail(&self, site: &'static str) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|plan| plan.should_fail(site))
     }
 }
 
@@ -448,7 +527,7 @@ where
     /// [`DivError::TransientFailure`]; retries back off exponentially.
     pub const QUERY_ATTEMPTS: usize = 3;
 
-    /// An empty pool of `shards` engines with the default
+    /// An empty pool of `shards` shards with the default
     /// [`DynamicConfig`] and a [`RoundRobin`] router.
     ///
     /// # Panics
@@ -458,50 +537,60 @@ where
         Self::with_config(metric, DynamicConfig::default(), shards)
     }
 
-    /// An empty pool with an explicit engine configuration (shared by
-    /// every shard).
+    /// An empty pool whose `Budget::Auto` queries are sized by
+    /// `config`'s `ε` and dimension.
     ///
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn with_config(metric: M, config: DynamicConfig, shards: usize) -> Self {
         assert!(shards >= 1, "a pool needs at least one shard");
-        let engines = (0..shards)
-            .map(|_| {
-                let engine = DynamicDiversity::with_config(metric.clone(), config);
-                Shard {
-                    recovery: Mutex::new(RecoveryState {
-                        base: engine.state(),
-                        log: Vec::new(),
-                    }),
-                    engine: RwLock::new(engine),
-                    health: AtomicU8::new(ShardHealth::Healthy as u8),
-                    occupancy: AtomicUsize::new(0),
-                }
-            })
+        let empty = ShardState {
+            ids: Vec::new(),
+            points: Vec::new(),
+            start: None,
+            next_id: 0,
+            epsilon: config.epsilon,
+            dim: config.dim,
+        };
+        let slots = (0..shards)
+            .map(|_| Shard::new(Prefix::new(), empty.clone()))
             .collect();
+        Self::assemble(metric, config, slots, HashMap::new(), None)
+    }
+
+    fn assemble(
+        metric: M,
+        config: DynamicConfig,
+        shards: Vec<Shard<P>>,
+        remap: HashMap<u64, u64>,
+        pending_router: Option<RouterState>,
+    ) -> Self {
         let pool_id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
         Self {
-            shards: RwLock::new(Arc::new(engines)),
+            gauge_names: occupancy_gauge_names(pool_id, shards.len()),
+            shards: RwLock::new(Arc::new(shards)),
             metric,
             config,
             router: Box::new(RoundRobin::new()),
             runtime: MapReduceRuntime::with_threads(1),
+            faults: None,
             pool_id,
-            gauge_names: occupancy_gauge_names(pool_id, shards),
             epoch: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            remap: RwLock::new(HashMap::new()),
+            remap: RwLock::new(remap),
             rebalance_ctl: Mutex::new(RebalanceCtl { last: None }),
             rebalances: AtomicU64::new(0),
             last_skew_before: AtomicU64::new(0),
             last_skew_after: AtomicU64::new(0),
-            pending_router: None,
+            pending_router,
         }
     }
 
-    /// Resumes a pool from a [`checkpoint`](Self::checkpoint). Every
-    /// shard engine is rebuilt losslessly; queries on the restored
-    /// pool are bit-identical to the pool that produced the state.
+    /// Resumes a pool from a [`checkpoint`](Self::checkpoint). Each
+    /// shard is rebuilt with its points, ids and start and no prefix
+    /// (`O(1)` per point); the next query regrows one, so queries on
+    /// the restored pool are bit-identical to the pool that produced
+    /// the state.
     ///
     /// The router starts as the default [`RoundRobin`]. When the
     /// checkpointed [`RouterState`] carries a matching kind its state
@@ -516,10 +605,10 @@ where
     /// *different* shard count than the checkpoint holds (restoring it
     /// would mis-route every stable-id placement — e.g. a `HashRouter`
     /// hashing over the wrong `shards.len()`), a remap entry pointing
-    /// at a shard the pool does not have, or a structurally
-    /// inconsistent engine state (truncated/bit-flipped wire bytes) —
-    /// returns [`DivError::CorruptState`] so the caller can keep its
-    /// last good pool instead of aborting. States produced by
+    /// at a shard the pool does not have, or an inconsistent shard
+    /// (ids out of order, a start that is not alive, an id at or past
+    /// `next_id`) — returns [`DivError::CorruptState`] so the caller can
+    /// keep its last good pool instead of aborting. States produced by
     /// `checkpoint` always restore.
     pub fn restore(metric: M, state: PoolState<P>) -> Result<Self, DivError> {
         if state.shards.is_empty() {
@@ -554,31 +643,9 @@ where
         let config = DynamicConfig {
             epsilon: state.shards[0].epsilon,
             dim: state.shards[0].dim,
-            max_depth: state.shards[0].max_depth,
+            ..DynamicConfig::default()
         };
-        let mut shards = Vec::with_capacity(state.shards.len());
-        for (i, s) in state.shards.into_iter().enumerate() {
-            if s.epsilon != config.epsilon || s.dim != config.dim || s.max_depth != config.max_depth
-            {
-                return Err(DivError::CorruptState {
-                    reason: format!("shard {i} checkpointed under a different configuration"),
-                });
-            }
-            let engine = DynamicDiversity::resume(metric.clone(), s.clone()).map_err(|e| {
-                DivError::CorruptState {
-                    reason: format!("shard {i}: {}", e.reason),
-                }
-            })?;
-            shards.push(Shard {
-                occupancy: AtomicUsize::new(engine.len()),
-                recovery: Mutex::new(RecoveryState {
-                    base: s,
-                    log: Vec::new(),
-                }),
-                engine: RwLock::new(engine),
-                health: AtomicU8::new(ShardHealth::Healthy as u8),
-            });
-        }
+        let shards = shards_from_states(state.shards, "shard")?;
         let router = RoundRobin::new();
         let pending_router = if Router::<P>::restore(&router, &state.router) {
             None
@@ -586,30 +653,14 @@ where
             Some(state.router)
         };
         let remap: HashMap<u64, u64> = state.remap.iter().map(|e| (e.from, e.to)).collect();
-        let pool_id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let pool = Self {
-            gauge_names: occupancy_gauge_names(pool_id, shards.len()),
-            shards: RwLock::new(Arc::new(shards)),
-            metric,
-            config,
-            router: Box::new(router),
-            runtime: MapReduceRuntime::with_threads(1),
-            pool_id,
-            epoch: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            remap: RwLock::new(remap),
-            rebalance_ctl: Mutex::new(RebalanceCtl { last: None }),
-            rebalances: AtomicU64::new(0),
-            last_skew_before: AtomicU64::new(0),
-            last_skew_after: AtomicU64::new(0),
-            pending_router,
-        };
+        let pool = Self::assemble(metric, config, shards, remap, pending_router);
         drop(span);
         if diversity_obs::enabled() {
             // Publish the restored occupancy so the pool's gauges are
             // correct before any traffic arrives.
             for (shard, slot) in pool.shards().iter().enumerate() {
-                diversity_obs::gauge_set(&pool.gauge_names[shard], slot.engine.read().len() as i64);
+                let occupancy = slot.occupancy.load(Ordering::Acquire);
+                diversity_obs::gauge_set(&pool.gauge_names[shard], occupancy as i64);
             }
         }
         Ok(pool)
@@ -629,6 +680,18 @@ where
             }
         }
         self.router = Box::new(router);
+        self
+    }
+
+    /// Hands the pool a fault plan (builder-style): its five injection
+    /// sites ([`faults::sites::SHARD_MUTATE`], [`faults::sites::LOCK_HOLD`],
+    /// [`faults::sites::QUERY`], [`faults::sites::RECOVERY`],
+    /// [`faults::sites::REBALANCE`]) roll on `plan` from here on,
+    /// replacing any earlier plan. No other pool sees it, and a pool
+    /// that never gets one injects nothing. [`FaultPlan::disarm`] ends
+    /// the chaos without replacing the plan.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
         self
     }
 
@@ -678,6 +741,7 @@ where
     /// operation witness that the pool was quiescent in between;
     /// that is the key the network layer's query coalescing uses to
     /// share one extraction among concurrent identical queries.
+    /// Growing a prefix changes no answer and bumps nothing.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -716,7 +780,7 @@ where
         if slot.health() != ShardHealth::Healthy {
             return 0;
         }
-        let len = slot.engine.read().len();
+        let len = slot.data.read().len();
         len
     }
 
@@ -730,7 +794,7 @@ where
         self.shards()
             .iter()
             .filter(|s| s.health() == ShardHealth::Healthy)
-            .map(|s| s.engine.read().len())
+            .map(|s| s.data.read().len())
             .sum()
     }
 
@@ -739,14 +803,15 @@ where
         self.len() == 0
     }
 
-    /// The engine configuration every shard was built with.
+    /// The configuration whose `ε` and dimension size `Budget::Auto`
+    /// queries.
     pub fn config(&self) -> &DynamicConfig {
         &self.config
     }
 
     /// Inserts a point, routing it through the pool's [`Router`].
-    /// Takes one shard's write lock; other shards (and readers of
-    /// other shards) proceed untouched.
+    /// Takes one shard's locks; other shards (and readers of other
+    /// shards) proceed untouched.
     ///
     /// When the routed shard is quarantined, an in-line recovery is
     /// attempted first; [`DivError::ShardUnavailable`] means the shard
@@ -836,9 +901,9 @@ where
         loop {
             let (shards, generation) = self.snapshot();
             let slot = &shards[shard];
-            // Under the write lock so the transition cannot interleave
+            // Under the writer lock so the transition cannot interleave
             // with a mutation's own health handling.
-            let _guard = slot.engine.write();
+            let _writer = slot.writer.lock();
             if self.generation.load(Ordering::Acquire) != generation {
                 // A rebalance swapped the set while we waited for the
                 // lock; fencing the superseded shard would be a no-op.
@@ -851,10 +916,10 @@ where
         }
     }
 
-    /// Recovers shard `shard` if it is quarantined: rebuilds the
-    /// engine from the last checkpoint plus the acknowledged-operation
-    /// log (no acknowledged write is lost), with bounded exponential
-    /// backoff across transient faults. No-op on a healthy shard.
+    /// Recovers shard `shard` if it is quarantined: rebuilds it from
+    /// the last checkpoint plus the acknowledged-operation log (no
+    /// acknowledged write is lost), with bounded exponential backoff
+    /// across transient faults. No-op on a healthy shard.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
@@ -865,15 +930,15 @@ where
             if slot.health() == ShardHealth::Healthy {
                 return Ok(());
             }
-            let mut engine = slot.engine.write();
+            let mut writer = slot.writer.lock();
             if self.generation.load(Ordering::Acquire) != generation {
-                drop(engine); // superseded set; re-check the fresh one
+                drop(writer); // superseded set; re-check the fresh one
                 continue;
             }
             if slot.health() == ShardHealth::Healthy {
                 return Ok(()); // someone else recovered while we waited
             }
-            return self.recover_locked(slot, shard, &mut engine);
+            return self.recover_locked(slot, shard, &mut writer);
         }
     }
 
@@ -886,20 +951,21 @@ where
         Ok(())
     }
 
-    /// Rebuilds a shard's engine from `checkpoint + log` while holding
-    /// its write lock. `Healthy` on success; `Quarantined` (and a
-    /// typed error) when transient faults exhaust the backoff budget
-    /// or the recovery material itself is corrupt.
+    /// Rebuilds a shard from `checkpoint + log` while holding its
+    /// writer lock, then publishes it under the write lock. `Healthy`
+    /// on success; `Quarantined` (and a typed error) when transient
+    /// faults exhaust the backoff budget or the recovery material
+    /// itself is corrupt.
     fn recover_locked(
         &self,
-        slot: &Shard<P, M>,
+        slot: &Shard<P>,
         shard: usize,
-        engine: &mut DynamicDiversity<P, M>,
+        recovery: &mut RecoveryState<P>,
     ) -> Result<(), DivError> {
         slot.set_health(ShardHealth::Recovering);
         let started = Instant::now();
         for attempt in 1..=Self::RECOVERY_ATTEMPTS {
-            if faults::should_fail(faults::sites::RECOVERY) {
+            if self.should_fail(faults::sites::RECOVERY) {
                 if attempt == Self::RECOVERY_ATTEMPTS {
                     slot.set_health(ShardHealth::Quarantined);
                     return Err(DivError::TransientFailure {
@@ -910,33 +976,41 @@ where
                 std::thread::sleep(Duration::from_micros(200 << (attempt - 1)));
                 continue;
             }
-            let recovery = slot.recovery.lock();
-            let mut rebuilt =
-                match DynamicDiversity::resume(self.metric.clone(), recovery.base.clone()) {
-                    Ok(rebuilt) => rebuilt,
-                    Err(e) => {
-                        slot.set_health(ShardHealth::Quarantined);
-                        return Err(DivError::CorruptState {
-                            reason: format!("shard {shard} recovery checkpoint: {}", e.reason),
-                        });
-                    }
-                };
+            let base = &recovery.base;
+            let mut rebuilt = match Prefix::from_parts(
+                base.ids.clone(),
+                base.points.clone(),
+                base.start,
+                base.next_id,
+            ) {
+                Ok(rebuilt) => rebuilt,
+                Err(reason) => {
+                    slot.set_health(ShardHealth::Quarantined);
+                    return Err(DivError::CorruptState {
+                        reason: format!("shard {shard} recovery checkpoint: {reason}"),
+                    });
+                }
+            };
             // Replay every acknowledged mutation since the checkpoint;
-            // id assignment is deterministic, so the rebuilt engine is
-            // bit-identical to one that never failed.
+            // ids and the start follow deterministically, so the
+            // rebuilt shard answers bit-identically to one that never
+            // failed. With no prefix yet, replay evaluates no distance.
             for op in &recovery.log {
                 match op {
                     Op::Insert(p) => {
-                        rebuilt.insert(p.clone());
+                        rebuilt.insert(p.clone(), &self.metric);
                     }
                     Op::Delete(id) => {
-                        rebuilt.delete(*id);
+                        rebuilt.delete(id.raw(), &self.metric);
                     }
                 }
             }
             let occupancy = rebuilt.len();
-            *engine = rebuilt;
-            drop(recovery);
+            {
+                let mut data = slot.data.write();
+                rebuilt.set_stats(data.stats());
+                *data = rebuilt;
+            }
             slot.occupancy.store(occupancy, Ordering::Release);
             slot.set_health(ShardHealth::Healthy);
             self.bump_epoch();
@@ -950,13 +1024,10 @@ where
         unreachable!("the attempt loop returns on success or exhaustion")
     }
 
-    /// Applies one mutation to a shard with panic isolation: the
-    /// engine call runs under `catch_unwind` (the
-    /// [`faults::sites::SHARD_MUTATE`] injection point fires inside
-    /// the guarded scope), so a panicking mutation quarantines the
-    /// shard — while the write lock is still held, before the
-    /// half-mutated engine could become visible — and triggers an
-    /// immediate recovery + one retry of the operation.
+    /// Applies one mutation to a shard with panic isolation, holding
+    /// the shard's writer lock throughout: a panic quarantines the
+    /// shard and triggers an immediate recovery plus one retry of the
+    /// operation.
     fn mutate(&self, shard: usize, op: Op<P>) -> Result<MutOutcome, DivError> {
         let mut attempt = 1;
         loop {
@@ -968,71 +1039,43 @@ where
                 self.recover(shard)
                     .map_err(|_| DivError::ShardUnavailable { shard })?;
             }
-            let obs = diversity_obs::enabled();
-            let t0 = Instant::now();
-            let mut engine = slot.engine.write();
-            let acquired = Instant::now();
+            let mut writer = slot.writer.lock();
             if self.generation.load(Ordering::Acquire) != generation {
                 // A rebalance swapped the shard set while we waited
                 // for the lock: applying the op to the superseded
-                // engine would silently lose the write. Retry on the
+                // shard would silently lose the write. Retry on the
                 // fresh snapshot (does not consume a fault attempt).
-                drop(engine);
                 continue;
             }
             if slot.health() != ShardHealth::Healthy {
                 // Quarantined while we waited for the lock; loop back
                 // through recovery.
-                drop(engine);
                 continue;
             }
-            faults::slow_point(faults::sites::LOCK_HOLD);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                faults::panic_point(faults::sites::SHARD_MUTATE);
-                match &op {
-                    Op::Insert(p) => MutOutcome::Inserted(engine.insert(p.clone())),
-                    Op::Delete(id) => MutOutcome::Deleted(engine.delete(*id)),
-                }
-            }));
-            match outcome {
-                Ok(out) => {
-                    // Acknowledge: log the op for recovery, publish
-                    // occupancy — all before the lock drops, so
-                    // recovery material and gauges stay in lock order.
-                    {
-                        let mut recovery = slot.recovery.lock();
-                        recovery.log.push(match (&op, &out) {
-                            (Op::Insert(p), _) => Op::Insert(p.clone()),
-                            (Op::Delete(id), _) => Op::Delete(*id),
-                        });
-                    }
-                    slot.occupancy.store(engine.len(), Ordering::Release);
-                    self.bump_epoch();
-                    if obs {
-                        diversity_obs::gauge_set(&self.gauge_names[shard], engine.len() as i64);
-                    }
-                    drop(engine);
-                    if obs {
-                        diversity_obs::observe(
-                            "serve.lock.write_wait_ns",
-                            (acquired - t0).as_nanos() as u64,
-                        );
-                        diversity_obs::observe(
-                            "serve.lock.write_hold_ns",
-                            acquired.elapsed().as_nanos() as u64,
-                        );
+            match self.apply(slot, shard, &op) {
+                Some(out) => {
+                    // Acknowledged: log the op for recovery (a miss
+                    // changed nothing and needs no replay).
+                    match (&op, &out) {
+                        (Op::Insert(p), _) => writer.log.push(Op::Insert(p.clone())),
+                        (Op::Delete(id), MutOutcome::Deleted(true)) => {
+                            writer.log.push(Op::Delete(*id))
+                        }
+                        _ => {}
                     }
                     return Ok(out);
                 }
-                Err(_panic) => {
-                    // The engine may be half-mutated; fence it before
-                    // anyone else can observe it, then rebuild in
-                    // place (still under the write lock).
-                    slot.set_health(ShardHealth::Quarantined);
-                    self.bump_epoch();
-                    diversity_obs::count("serve.quarantines", 1);
-                    let recovered = self.recover_locked(slot, shard, &mut engine);
-                    drop(engine);
+                None => {
+                    // The shard is fenced (quarantined by `apply`, or
+                    // its published state untouched); rebuild it in
+                    // place, still under the writer lock.
+                    if slot.health() == ShardHealth::Healthy {
+                        slot.set_health(ShardHealth::Quarantined);
+                        self.bump_epoch();
+                        diversity_obs::count("serve.quarantines", 1);
+                    }
+                    let recovered = self.recover_locked(slot, shard, &mut writer);
+                    drop(writer);
                     if recovered.is_err() || attempt == Self::MUTATE_ATTEMPTS {
                         return Err(DivError::ShardUnavailable { shard });
                     }
@@ -1041,6 +1084,97 @@ where
                 }
             }
         }
+    }
+
+    /// One mutation's compute and publish steps, the caller holding
+    /// the writer lock. `None` when a step panicked.
+    fn apply(&self, slot: &Shard<P>, shard: usize, op: &Op<P>) -> Option<MutOutcome> {
+        let metric = &self.metric;
+        match op {
+            Op::Insert(point) => {
+                let probe = self.compute(slot, |data| {
+                    self.panic_point(faults::sites::SHARD_MUTATE);
+                    data.probe(point, metric)
+                })?;
+                if !probe.resumes() {
+                    let (id, _) =
+                        self.publish(slot, shard, true, |data| data.append(point.clone(), &probe))?;
+                    return Some(MutOutcome::Inserted(PointId::from_raw(id)));
+                }
+                // The new point changes the selection: park it as a
+                // pending slot, recompute beside it, then publish.
+                let (id, pending) = self.publish(slot, shard, false, |data| {
+                    data.append(point.clone(), &probe)
+                })?;
+                let resumed =
+                    self.compute(slot, |data| data.resume_insert(pending, &probe, metric))?;
+                self.publish(slot, shard, true, |data| data.publish(resumed))?;
+                Some(MutOutcome::Inserted(PointId::from_raw(id)))
+            }
+            Op::Delete(id) => {
+                let removal = self.compute(slot, |data| {
+                    self.panic_point(faults::sites::SHARD_MUTATE);
+                    data.plan_delete(id.raw(), metric)
+                })?;
+                if matches!(removal, Removal::Gone) {
+                    return Some(MutOutcome::Deleted(false));
+                }
+                self.publish(slot, shard, true, |data| data.remove(removal))?;
+                Some(MutOutcome::Deleted(true))
+            }
+        }
+    }
+
+    /// Runs `f` on the shard's data under its read lock; `None` when it
+    /// panics (the published state is untouched).
+    fn compute<T>(&self, slot: &Shard<P>, f: impl FnOnce(&Prefix<P>) -> T) -> Option<T> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&slot.data.read()))).ok()
+    }
+
+    /// Runs `f` on the shard's data under its write lock. When `ack`,
+    /// this publish acknowledges the mutation: occupancy, epoch and
+    /// gauge move before the lock drops. A panic quarantines the shard
+    /// while the lock is still held — a half-applied change is never
+    /// visible — and returns `None`.
+    fn publish<T>(
+        &self,
+        slot: &Shard<P>,
+        shard: usize,
+        ack: bool,
+        f: impl FnOnce(&mut Prefix<P>) -> T,
+    ) -> Option<T> {
+        let t0 = Instant::now();
+        let mut data = slot.data.write();
+        let acquired = Instant::now();
+        self.slow_point(faults::sites::LOCK_HOLD);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut data)));
+        match &out {
+            Ok(_) if ack => {
+                slot.occupancy.store(data.len(), Ordering::Release);
+                self.bump_epoch();
+                if diversity_obs::enabled() {
+                    diversity_obs::gauge_set(&self.gauge_names[shard], data.len() as i64);
+                }
+            }
+            Ok(_) => {}
+            Err(_) => {
+                slot.set_health(ShardHealth::Quarantined);
+                self.bump_epoch();
+                diversity_obs::count("serve.quarantines", 1);
+            }
+        }
+        drop(data);
+        if diversity_obs::enabled() {
+            diversity_obs::observe(
+                "serve.lock.write_wait_ns",
+                (acquired - t0).as_nanos() as u64,
+            );
+            diversity_obs::observe(
+                "serve.lock.write_hold_ns",
+                acquired.elapsed().as_nanos() as u64,
+            );
+        }
+        out.ok()
     }
 
     /// The point behind an alive handle, cloned out under the shard's
@@ -1060,13 +1194,13 @@ where
         if slot.health() != ShardHealth::Healthy {
             return None;
         }
-        let point = slot.engine.read().point(id.id).cloned();
+        let point = slot.data.read().point(id.id.raw()).cloned();
         point
     }
 
     /// Snapshot of all alive `(handle, point)` pairs across the
-    /// **healthy** shards, shard by shard — the population a query's
-    /// certificate covers right now.
+    /// **healthy** shards, shard by shard, each in id order — the
+    /// population a query's certificate covers right now.
     pub fn alive(&self) -> Vec<(ShardedId, P)> {
         let mut out = Vec::new();
         let shards = self.shards();
@@ -1074,49 +1208,116 @@ where
             if slot.health() != ShardHealth::Healthy {
                 continue;
             }
-            out.extend(
-                slot.engine
-                    .read()
-                    .alive()
-                    .into_iter()
-                    .map(|(id, p)| (ShardedId { shard, id }, p)),
-            );
+            let data = slot.data.read();
+            out.extend(data.alive().map(|(id, p)| {
+                (
+                    ShardedId {
+                        shard,
+                        id: PointId::from_raw(id),
+                    },
+                    p.clone(),
+                )
+            }));
         }
         out
     }
 
-    /// Per-shard cumulative update-work counters (healthy shards;
-    /// quarantined shards report the zero default until they recover —
-    /// recovery rebuilds the engine, which restarts its counters).
-    pub fn shard_stats(&self) -> Vec<UpdateStats> {
+    /// Per-shard cumulative update-work counters ([`ShardStats`]);
+    /// quarantined shards report zeroes until they recover.
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards()
             .iter()
             .map(|s| {
                 if s.health() == ShardHealth::Healthy {
-                    *s.engine.read().stats()
+                    s.data.read().stats()
                 } else {
-                    UpdateStats::default()
+                    ShardStats::default()
                 }
             })
             .collect()
     }
 
-    /// Exhaustively validates every healthy shard's cover invariants
-    /// (test support; `O(n²)` per shard).
+    /// Checks every healthy shard's prefix against a fresh
+    /// `gmm_plain` from its start over its part — centers, insertion
+    /// distances, every point's distance, assignment and chain, bit
+    /// for bit (test support; `O(n·m)` per shard).
+    ///
+    /// # Panics
+    /// Panics on the first disagreement.
     pub fn validate(&self) {
         for shard in self.shards().iter() {
             if shard.health() == ShardHealth::Healthy {
-                shard.engine.read().validate();
+                shard.data.read().validate(&self.metric);
             }
         }
     }
 
+    /// Grows shard `slot`'s prefix until it holds `min(k', n)` steps:
+    /// under the writer lock, computed under the read lock, published
+    /// under the write lock. Returns the time spent waiting for the
+    /// writer lock, or `None` when the deadline passed first or the
+    /// computation panicked (which quarantines the shard).
+    fn grow(
+        &self,
+        slot: &Shard<P>,
+        k_prime: usize,
+        started: Instant,
+        deadline: Option<Duration>,
+    ) -> Option<Duration> {
+        let t0 = Instant::now();
+        let _writer = match deadline {
+            None => slot.writer.lock(),
+            Some(budget) => loop {
+                if let Some(guard) = slot.writer.try_lock() {
+                    break guard;
+                }
+                if started.elapsed() >= budget {
+                    return None;
+                }
+                std::thread::yield_now();
+            },
+        };
+        let waited = t0.elapsed();
+        if slot.health() != ShardHealth::Healthy {
+            return Some(waited); // the extraction re-checks and skips
+        }
+        let grown = self.compute(slot, |data| {
+            data.shortfall(k_prime)
+                .map(|target| data.extend(target, &self.metric))
+        });
+        let published = match grown {
+            Some(Some(resumed)) => {
+                let mut data = slot.data.write();
+                let published = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    data.publish(resumed)
+                }));
+                if published.is_err() {
+                    // Fence the half-published shard before the lock drops.
+                    slot.set_health(ShardHealth::Quarantined);
+                }
+                drop(data); // the replaced buffers free outside the lock
+                published.is_ok()
+            }
+            Some(None) => true,
+            None => {
+                slot.set_health(ShardHealth::Quarantined);
+                false
+            }
+        };
+        if !published {
+            self.bump_epoch();
+            diversity_obs::count("serve.quarantines", 1);
+            return None;
+        }
+        Some(waited)
+    }
+
     /// Extracts core-sets from every shard able to answer (read locks,
     /// one shard at a time) with provenance rewritten to encoded
-    /// [`ShardedId`]s. A shard drops out — into `skipped` — when it is
-    /// quarantined, the deadline has passed (or its read lock could
-    /// not be acquired in time), or its extraction panics (which also
-    /// quarantines it).
+    /// [`ShardedId`]s, first growing any prefix shorter than `k'`. A
+    /// shard drops out — into `skipped` — when it is quarantined, the
+    /// deadline has passed (or its locks could not be acquired in
+    /// time), or its extraction panics (which also quarantines it).
     fn extract_shards(
         &self,
         problem: Problem,
@@ -1141,76 +1342,94 @@ where
             lock_wait_secs: 0.0,
             skipped_occupancy: 0,
         };
-        let skip = |ex: &mut Extraction<P>, shard: usize, slot: &Shard<P, M>| {
+        let skip = |ex: &mut Extraction<P>, shard: usize, slot: &Shard<P>| {
             ex.skipped.push(shard);
             ex.skipped_occupancy += slot.occupancy.load(Ordering::Acquire);
         };
-        for (shard, slot) in shards.iter().enumerate() {
-            if slot.health() != ShardHealth::Healthy {
-                skip(&mut ex, shard, slot);
-                continue;
-            }
-            let t0 = Instant::now();
-            let engine = match deadline {
-                None => slot.engine.read(),
-                Some(budget) => {
-                    // A shard whose turn comes at or past the deadline
-                    // is skipped outright.
-                    if started.elapsed() >= budget {
-                        skip(&mut ex, shard, slot);
-                        continue;
-                    }
-                    // Bounded acquisition: a straggler holding the
-                    // write lock must not stall the whole query.
-                    let mut guard = slot.engine.try_read();
-                    while guard.is_none() && started.elapsed() < budget {
-                        std::thread::yield_now();
-                        guard = slot.engine.try_read();
-                    }
-                    match guard {
-                        Some(g) => g,
-                        None => {
+        'shards: for (shard, slot) in shards.iter().enumerate() {
+            let art = loop {
+                if slot.health() != ShardHealth::Healthy {
+                    skip(&mut ex, shard, slot);
+                    continue 'shards;
+                }
+                let t0 = Instant::now();
+                let data = match deadline {
+                    None => slot.data.read(),
+                    Some(budget) => {
+                        // A shard whose turn comes at or past the
+                        // deadline is skipped outright.
+                        if started.elapsed() >= budget {
                             skip(&mut ex, shard, slot);
-                            continue;
+                            continue 'shards;
+                        }
+                        // Bounded acquisition: a straggler holding the
+                        // write lock must not stall the whole query.
+                        let mut guard = slot.data.try_read();
+                        while guard.is_none() && started.elapsed() < budget {
+                            std::thread::yield_now();
+                            guard = slot.data.try_read();
+                        }
+                        match guard {
+                            Some(g) => g,
+                            None => {
+                                skip(&mut ex, shard, slot);
+                                continue 'shards;
+                            }
                         }
                     }
+                };
+                let acquired = Instant::now();
+                ex.lock_wait_secs += (acquired - t0).as_secs_f64();
+                if diversity_obs::enabled() {
+                    diversity_obs::observe(
+                        "serve.lock.read_wait_ns",
+                        (acquired - t0).as_nanos() as u64,
+                    );
                 }
+                // Re-check under the lock: a mutation that panicked
+                // while we waited has quarantined this shard.
+                if slot.health() != ShardHealth::Healthy {
+                    drop(data);
+                    skip(&mut ex, shard, slot);
+                    continue 'shards;
+                }
+                if data.shortfall(k_prime).is_some() {
+                    // A larger k' than this shard's prefix holds: grow
+                    // it once, then read again.
+                    drop(data);
+                    match self.grow(slot, k_prime, started, deadline) {
+                        Some(waited) => ex.lock_wait_secs += waited.as_secs_f64(),
+                        None => {
+                            skip(&mut ex, shard, slot);
+                            continue 'shards;
+                        }
+                    }
+                    continue;
+                }
+                let n_s = data.len();
+                let art = if n_s == 0 {
+                    // A drained shard contributes the merge identity.
+                    Some(Coreset::empty(k_prime))
+                } else {
+                    // Extraction is read-only, but a panic here (a bug,
+                    // or corruption that slipped past the health fence)
+                    // must cost this shard's contribution, not the
+                    // process.
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        data.coreset(problem, k, k_prime)
+                    }))
+                    .ok()
+                };
+                drop(data); // provenance rewrite needs no lock
+                if diversity_obs::enabled() {
+                    diversity_obs::observe(
+                        "serve.lock.read_hold_ns",
+                        acquired.elapsed().as_nanos() as u64,
+                    );
+                }
+                break art.map(|art| (art, n_s));
             };
-            let acquired = Instant::now();
-            ex.lock_wait_secs += (acquired - t0).as_secs_f64();
-            // Re-check under the lock: a mutation that panicked while
-            // we waited has quarantined (and maybe not yet recovered)
-            // this engine.
-            if slot.health() != ShardHealth::Healthy {
-                drop(engine);
-                skip(&mut ex, shard, slot);
-                continue;
-            }
-            let n_s = engine.len();
-            let art = if engine.is_empty() {
-                // A drained shard contributes the merge identity.
-                Some(Coreset::empty(k_prime))
-            } else {
-                // Extraction is read-only, but a panic here (a bug, or
-                // corruption that slipped past the health fence) must
-                // cost this shard's contribution, not the process.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.extract_coreset(problem, k, k_prime)
-                }))
-                .ok()
-            };
-            drop(engine); // provenance rewrite needs no lock
-            if diversity_obs::enabled() {
-                diversity_obs::observe(
-                    "serve.lock.read_wait_ns",
-                    (acquired - t0).as_nanos() as u64,
-                );
-                diversity_obs::observe(
-                    "serve.lock.read_hold_ns",
-                    acquired.elapsed().as_nanos() as u64,
-                );
-            }
-            let Some(art) = art else {
+            let Some((art, n_s)) = art else {
                 slot.set_health(ShardHealth::Quarantined);
                 self.bump_epoch();
                 diversity_obs::count("serve.quarantines", 1);
@@ -1243,22 +1462,22 @@ where
         Coreset::merge_all(ex.artifacts).unwrap_or_else(|| Coreset::empty(k_prime))
     }
 
-    /// Answers a [`Task`] on the **warm path**: extraction-only reads
-    /// of the maintained shard structures, composed through
-    /// [`Coreset::merge`] and solved by the shared 2-round combiner —
-    /// the same data path as `Task::run_sharded`, minus the per-query
-    /// engine builds. Returns the standard [`Report`] with
+    /// Answers a [`Task`] on the **warm path**: per-shard reads of the
+    /// maintained prefixes, composed through [`Coreset::merge`] and
+    /// solved by the shared 2-round combiner — at a quiescent point,
+    /// bit for bit the answer `two_round` gives on the shards' parts.
+    /// Returns the standard [`Report`] with
     /// [`Backend::ShardedDynamic`], the composed radius certificate in
     /// `coreset_radius`, and indices/provenance in encoded
     /// [`ShardedId`] space ([`ShardedId::decode`] recovers the shard
-    /// and engine handle).
+    /// and id).
     ///
     /// Budget resolution matches [`Task::run_dynamic`]
-    /// ([`Task::dynamic_k_prime`]): `Auto` defers to the shards' own
+    /// ([`Task::dynamic_k_prime`]): `Auto` defers to the pool's
     /// [`DynamicConfig`] sizing rather than sampling the data (the
-    /// warm path never rescans points). Like the other dynamic-backed
-    /// paths, no `(α+ε)` certificate is attached — the per-query
-    /// composed radius is the honest accuracy witness.
+    /// warm path never rescans points). No `(α+ε)` certificate is
+    /// attached — the per-query composed radius is the honest accuracy
+    /// witness.
     ///
     /// When shards are quarantined the answer **degrades** instead of
     /// failing: the surviving shards' artifacts merge, and the report
@@ -1270,12 +1489,13 @@ where
     }
 
     /// [`query`](Self::query) under a wall-clock budget: shards whose
-    /// read lock cannot be acquired before `deadline` elapses (or
-    /// whose turn comes after it) are skipped, degrading the answer
-    /// rather than stalling it. The deadline bounds the *extraction*
-    /// phase — lock acquisition and per-shard reads; the final
-    /// combiner solve on the (small) merged core-set always runs to
-    /// completion, so answers past the deadline are still certified.
+    /// locks cannot be acquired before `deadline` elapses (or whose
+    /// turn comes after it) are skipped, degrading the answer rather
+    /// than stalling it. The deadline bounds the *extraction* phase —
+    /// lock acquisition and per-shard reads; growing a prefix for a
+    /// larger `k'` and the final combiner solve on the (small) merged
+    /// core-set run to completion once started, so answers past the
+    /// deadline are still certified.
     pub fn query_within(&self, task: &Task, deadline: Duration) -> Result<Report<P>, DivError> {
         self.query_opts(task, Some(deadline))
     }
@@ -1291,7 +1511,7 @@ where
         // Admission: transient failures retry with bounded backoff
         // (0.1 ms, 0.2 ms) before surfacing as a typed error.
         for attempt in 1..=Self::QUERY_ATTEMPTS {
-            if !faults::should_fail(faults::sites::QUERY) {
+            if !self.should_fail(faults::sites::QUERY) {
                 break;
             }
             if attempt == Self::QUERY_ATTEMPTS {
@@ -1354,35 +1574,27 @@ where
         };
 
         let union = Coreset::merge_all(ex.artifacts).expect("at least one shard answered");
-        // Keep (source, point) pairs to recover the selected points
-        // after the solve without re-locking the shards — a concurrent
-        // writer may have deleted a selected point by then, but it was
-        // alive in the extraction this answer certifies.
-        let lookup: Vec<(u64, P)> = union
-            .sources()
-            .iter()
-            .copied()
-            .zip(union.points().iter().cloned())
-            .collect();
         let (solution, solve_input_size, coreset_radius, round_stats) = solve_union(
             problem,
-            union,
+            &union,
             &self.metric,
             k,
             &self.runtime,
             "combine:solve",
         );
-
+        // The selected points come from the union, not the shards: a
+        // concurrent writer may have deleted one since, but it was alive
+        // in the extraction this answer certifies.
         let mut points = Vec::with_capacity(solution.indices.len());
         for &encoded in &solution.indices {
-            let point = lookup
+            let at = union
+                .sources()
                 .iter()
-                .find(|(src, _)| *src == encoded as u64)
-                .map(|(_, p)| p.clone())
+                .position(|&src| src == encoded as u64)
                 .ok_or_else(|| DivError::CorruptState {
                     reason: format!("combiner selected {encoded}, absent from the union's sources"),
                 })?;
-            points.push(point);
+            points.push(union.points()[at].clone());
         }
 
         // End the e2e span before snapshotting so this very query is
@@ -1404,7 +1616,7 @@ where
                     secs: extract_secs,
                 },
                 // Component of warm-extract spent *waiting* for shard
-                // read locks — the contention share of warm latency.
+                // locks — the contention share of warm latency.
                 // Row names are pinned in `tests/serve_pool.rs`.
                 StageTiming {
                     stage: "warm-lock-wait".into(),
@@ -1439,8 +1651,9 @@ where
     }
 
     /// Snapshots every shard into a serde-able [`PoolState`]. Shards
-    /// are locked one at a time: the snapshot is per-shard consistent;
-    /// take it at a quiescent point for a cross-shard-exact image.
+    /// are imaged one at a time, each under its writer lock: the
+    /// snapshot is per-shard consistent; take it at a quiescent point
+    /// for a cross-shard-exact image.
     ///
     /// The checkpoint doubles as each shard's recovery baseline: the
     /// acknowledged-operation log is folded into it and truncated, so
@@ -1455,107 +1668,123 @@ where
             let mut states = Vec::with_capacity(shards.len());
             for (shard, slot) in shards.iter().enumerate() {
                 self.recover(shard)?;
-                let engine = slot.engine.read();
+                let mut writer = slot.writer.lock();
                 if self.generation.load(Ordering::Acquire) != generation {
                     // A rebalance landed mid-walk: states imaged so far
                     // belong to the superseded partition and mixing
                     // generations could snapshot a point twice. Start
                     // over on the fresh set.
-                    drop(engine);
                     continue 'restart;
                 }
-                let state = engine.state();
-                // Refresh the recovery baseline under the engine lock so
-                // no acknowledged op can slip between state and log
-                // truncation.
-                let mut recovery = slot.recovery.lock();
-                recovery.base = state.clone();
-                recovery.log.clear();
-                drop(recovery);
-                drop(engine);
-                states.push(state);
+                if slot.health() != ShardHealth::Healthy {
+                    self.recover_locked(slot, shard, &mut writer)?;
+                }
+                states.push(self.rebase(slot, &mut writer));
             }
-            let mut router = self.router.checkpoint();
-            router.shards = states.len() as u64;
-            return Ok(PoolState {
-                shards: states,
-                router,
-                remap: self.remap_entries(),
-            });
+            return Ok(self.pool_state(states));
         }
     }
 
-    /// The live remap table as sorted [`RemapEntry`] rows (what
-    /// checkpoints persist).
-    fn remap_entries(&self) -> Vec<RemapEntry> {
-        let mut entries: Vec<RemapEntry> = self
+    /// Images a shard whose writer lock the caller holds.
+    fn image(&self, slot: &Shard<P>) -> ShardState<P> {
+        let (ids, points, start, next_id) = slot.data.read().export();
+        ShardState {
+            ids,
+            points,
+            start,
+            next_id,
+            epsilon: self.config.epsilon,
+            dim: self.config.dim,
+        }
+    }
+
+    /// [`image`](Self::image), made the shard's recovery baseline (the
+    /// log folds in and truncates).
+    fn rebase(&self, slot: &Shard<P>, recovery: &mut RecoveryState<P>) -> ShardState<P> {
+        let state = self.image(slot);
+        recovery.base = state.clone();
+        recovery.log.clear();
+        state
+    }
+
+    /// A [`PoolState`] of `states` with the router's state and the remap
+    /// table.
+    fn pool_state(&self, states: Vec<ShardState<P>>) -> PoolState<P> {
+        let mut router = self.router.checkpoint();
+        router.shards = states.len() as u64;
+        let mut remap: Vec<RemapEntry> = self
             .remap
             .read()
             .iter()
             .map(|(&from, &to)| RemapEntry { from, to })
             .collect();
-        entries.sort_by_key(|e| e.from);
-        entries
+        remap.sort_by_key(|e| e.from);
+        PoolState {
+            shards: states,
+            router,
+            remap,
+        }
+    }
+
+    /// Every shard's writer lock, in shard order, with every shard
+    /// recovered: the pool's writers are fenced while the guards live
+    /// (readers are not). `None` when a rebalance swapped the set in
+    /// the meantime.
+    fn quiesce<'a>(
+        &self,
+        shards: &'a [Shard<P>],
+        generation: u64,
+    ) -> Result<Option<Vec<parking_lot::MutexGuard<'a, RecoveryState<P>>>>, DivError> {
+        // Recovery takes the writer lock itself, so run it before the
+        // global acquisition pass.
+        self.recover_all()?;
+        let mut writers: Vec<_> = shards.iter().map(|slot| slot.writer.lock()).collect();
+        if self.generation.load(Ordering::Acquire) != generation {
+            return Ok(None);
+        }
+        // Health transitions need a writer lock, all of which we now
+        // hold — but one may have slipped in between `recover_all` and
+        // our acquisition. Recover in place.
+        for (shard, writer) in writers.iter_mut().enumerate() {
+            if shards[shard].health() != ShardHealth::Healthy {
+                self.recover_locked(&shards[shard], shard, writer)?;
+            }
+        }
+        Ok(Some(writers))
     }
 
     /// [`checkpoint`](Self::checkpoint) with **quiesced writers**: all
-    /// shard write locks are acquired (in shard order, so two
+    /// shard writer locks are acquired (in shard order, so two
     /// concurrent consistent checkpoints cannot deadlock each other or
-    /// the one-lock-at-a-time paths) before any shard is imaged, so
+    /// the one-shard-at-a-time paths) before any shard is imaged, so
     /// the snapshot is an exact cross-shard image — no concurrent
     /// mutation can land between imaging shard `A` and shard `B`.
     /// Restoring it yields a pool bit-identical to this one at the
     /// moment of the snapshot, even when taken mid-churn.
     ///
-    /// The cost is availability: writers to *every* shard block for
-    /// the duration (readers too — the engines sit behind `RwLock`s).
-    /// Use the plain [`checkpoint`](Self::checkpoint) when per-shard
-    /// consistency is enough. Like `checkpoint`, quarantined shards
-    /// are recovered first and each shard's recovery baseline is
-    /// refreshed (log folded in and truncated).
+    /// The cost is availability for writers: updates to *every* shard
+    /// block for the duration. Readers keep answering from the
+    /// published prefixes. Use the plain [`checkpoint`](Self::checkpoint)
+    /// when per-shard consistency is enough. Like `checkpoint`,
+    /// quarantined shards are recovered first and each shard's
+    /// recovery baseline is refreshed (log folded in and truncated).
     pub fn checkpoint_consistent(&self) -> Result<PoolState<P>, DivError> {
         let _span = diversity_obs::span("serve.checkpoint_consistent_ns");
         loop {
             let (shards, generation) = self.snapshot();
-            // Recovery needs the write lock itself, so run it before
-            // the global acquisition pass.
-            self.recover_all()?;
-            let mut guards = Vec::with_capacity(shards.len());
-            for slot in shards.iter() {
-                guards.push(slot.engine.write());
-            }
-            if self.generation.load(Ordering::Acquire) != generation {
+            let Some(mut writers) = self.quiesce(&shards, generation)? else {
                 // A rebalance swapped the set while we were acquiring:
                 // these locks fence the superseded shards. Retry on
                 // the fresh set.
-                drop(guards);
                 continue;
-            }
-            // Health transitions happen under shard write locks, all of
-            // which we now hold — but one may have slipped in between
-            // recover_all and our acquisition. Recover in place.
-            for (shard, guard) in guards.iter_mut().enumerate() {
-                if shards[shard].health() != ShardHealth::Healthy {
-                    self.recover_locked(&shards[shard], shard, &mut *guard)?;
-                }
-            }
-            let mut states = Vec::with_capacity(shards.len());
-            for (shard, guard) in guards.iter().enumerate() {
-                let state = guard.state();
-                let mut recovery = shards[shard].recovery.lock();
-                recovery.base = state.clone();
-                recovery.log.clear();
-                drop(recovery);
-                states.push(state);
-            }
+            };
+            let states = shards
+                .iter()
+                .zip(writers.iter_mut())
+                .map(|(slot, writer)| self.rebase(slot, writer))
+                .collect();
             diversity_obs::count("serve.checkpoints.consistent", 1);
-            let mut router = self.router.checkpoint();
-            router.shards = states.len() as u64;
-            return Ok(PoolState {
-                shards: states,
-                router,
-                remap: self.remap_entries(),
-            });
+            return Ok(self.pool_state(states));
         }
     }
 
@@ -1605,19 +1834,20 @@ where
     /// The live rebalance protocol, under the rebalance lock:
     ///
     /// 1. **Quiesce** — recover every shard, then take every shard
-    ///    write lock in shard order (the `checkpoint_consistent`
-    ///    discipline), fencing writers. In-flight *readers* that
-    ///    already hold their snapshot keep extracting from the old
-    ///    shards — the old set stays alive behind its `Arc` until the
-    ///    last of them is done.
+    ///    writer lock in shard order (the `checkpoint_consistent`
+    ///    discipline), fencing writers. Readers keep extracting from
+    ///    the old shards — the old set stays alive behind its `Arc`
+    ///    until the last of them is done.
     /// 2. **Cut** — image every shard into a consistent [`PoolState`].
     /// 3. **Re-partition** — [`rebalance_state`]: greedy largest-first
-    ///    reassignment, rebuilt engines, composed remap table. Runs
-    ///    under `catch_unwind` with the [`faults::sites::REBALANCE`]
+    ///    reassignment and a composed remap table. Runs under
+    ///    `catch_unwind` with the [`faults::sites::REBALANCE`]
     ///    injection point inside, and nothing observable mutates until
     ///    step 5 — an injected panic (or any error) leaves the old pool
     ///    serving bit-identical answers: rebalance is **all-or-nothing**.
-    /// 4. **Rebuild** — resume one engine per re-partitioned shard.
+    /// 4. **Rebuild** — one shard per re-partitioned state, with its
+    ///    points and no prefix (`O(1)` per point; the next query grows
+    ///    the prefixes).
     /// 5. **Commit** — under the outer `shards` write lock: swap the
     ///    `Arc`, bump the swap generation (stale writers retry), fold
     ///    the remap table, bump the mutation epoch (a coalesced
@@ -1631,46 +1861,29 @@ where
     /// partitions: the union of per-shard core-sets is a lawful
     /// core-set of the union of the shards, radius `max_i r_i`,
     /// regardless of which shard holds which point. The cut taken in
-    /// step 2 is exact (all write locks held), the re-partition holds
-    /// the same multiset of points, and the rebuilt engines are
-    /// deterministic given the cut — so every quiescent query after the
-    /// swap answers bit-identically to a never-rebalanced pool restored
-    /// from the same cut, and its merged radius certificate certifies
-    /// the same ground truth. Only placement (and therefore skew)
-    /// changes.
+    /// step 2 is exact (all writer locks held), the re-partition holds
+    /// the same multiset of points, and each rebuilt shard's traversal
+    /// is deterministic given the cut — so every quiescent query after
+    /// the swap answers bit-identically to a never-rebalanced pool
+    /// restored from the same re-partitioned cut, and its merged radius
+    /// certificate certifies the same ground truth. Only placement (and
+    /// therefore skew) changes.
     fn rebalance_locked(&self, ctl: &mut RebalanceCtl) -> Result<RebalanceReport, DivError> {
         let _span = diversity_obs::span("serve.rebalance_ns");
         let skew_before = self.skew();
         // Only a rebalance commit swaps the shard set, and we hold the
         // rebalance lock — this snapshot cannot be superseded beneath us.
-        let shards = self.shards();
-        self.recover_all()?;
-        let mut guards = Vec::with_capacity(shards.len());
-        for slot in shards.iter() {
-            guards.push(slot.engine.write());
-        }
+        let (shards, generation) = self.snapshot();
+        let writers = self
+            .quiesce(&shards, generation)?
+            .expect("only a rebalance swaps the shard set");
         // Writers are fenced from here to the commit: that scope is the
         // pause the report charges to the rebalance.
         let pause_started = Instant::now();
-        for (shard, guard) in guards.iter_mut().enumerate() {
-            if shards[shard].health() != ShardHealth::Healthy {
-                self.recover_locked(&shards[shard], shard, &mut *guard)?;
-            }
-        }
-        let mut states = Vec::with_capacity(shards.len());
-        for guard in guards.iter() {
-            states.push(guard.state());
-        }
-        let mut router = self.router.checkpoint();
-        router.shards = states.len() as u64;
-        let cut = PoolState {
-            shards: states,
-            router,
-            remap: self.remap_entries(),
-        };
+        let cut = self.pool_state(shards.iter().map(|slot| self.image(slot)).collect());
         let repartitioned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            faults::panic_point(faults::sites::REBALANCE);
-            rebalance_state(&self.metric, &cut)
+            self.panic_point(faults::sites::REBALANCE);
+            rebalance_state(&cut)
         }));
         let (next, fresh) = match repartitioned {
             Ok(result) => result?,
@@ -1680,23 +1893,7 @@ where
                 });
             }
         };
-        let mut new_shards = Vec::with_capacity(next.shards.len());
-        for (i, s) in next.shards.into_iter().enumerate() {
-            let engine = DynamicDiversity::resume(self.metric.clone(), s.clone()).map_err(|e| {
-                DivError::CorruptState {
-                    reason: format!("rebalanced shard {i}: {}", e.reason),
-                }
-            })?;
-            new_shards.push(Shard {
-                occupancy: AtomicUsize::new(engine.len()),
-                recovery: Mutex::new(RecoveryState {
-                    base: s,
-                    log: Vec::new(),
-                }),
-                engine: RwLock::new(engine),
-                health: AtomicU8::new(ShardHealth::Healthy as u8),
-            });
-        }
+        let new_shards = shards_from_states(next.shards, "rebalanced shard")?;
         let occupancies: Vec<usize> = new_shards
             .iter()
             .map(|s| s.occupancy.load(Ordering::Relaxed))
@@ -1717,7 +1914,7 @@ where
             self.bump_epoch();
         }
         let pause = pause_started.elapsed();
-        drop(guards); // the superseded set; last in-flight reader frees it
+        drop(writers); // the superseded set; last in-flight reader frees it
         ctl.last = Some(Instant::now());
         self.rebalances.fetch_add(1, Ordering::AcqRel);
         self.last_skew_before
@@ -1738,6 +1935,31 @@ where
             pause,
         })
     }
+}
+
+/// Builds one shard per checkpointed state, each with no prefix; every
+/// state must share the first one's `ε` and dimension.
+fn shards_from_states<P: Clone>(
+    states: Vec<ShardState<P>>,
+    what: &str,
+) -> Result<Vec<Shard<P>>, DivError> {
+    let (epsilon, dim) = (states[0].epsilon, states[0].dim);
+    states
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            if s.epsilon != epsilon || s.dim != dim {
+                return Err(DivError::CorruptState {
+                    reason: format!("{what} {i} checkpointed under a different configuration"),
+                });
+            }
+            let data = Prefix::from_parts(s.ids.clone(), s.points.clone(), s.start, s.next_id)
+                .map_err(|reason| DivError::CorruptState {
+                    reason: format!("{what} {i}: {reason}"),
+                })?;
+            Ok(Shard::new(data, s))
+        })
+        .collect()
 }
 
 /// What a mutation produced (see `ShardPool::mutate`).

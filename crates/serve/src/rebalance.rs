@@ -16,12 +16,12 @@
 //! the same ground truth. [`rebalance_state`] exploits this to undo
 //! router skew — it reassigns the cut's points greedily
 //! (largest-donor-first into the currently least-occupied target,
-//! deterministic given the cut) and rebuilds one engine per shard.
+//! deterministic given the cut) into one fresh shard state per shard.
 //!
 //! ## ID discipline
 //!
-//! Rebuilt engines assign fresh engine-local ids, so every alive
-//! point's [`ShardedId`](crate::ShardedId) changes. Two guarantees
+//! Rebuilt shards assign fresh shard-local ids, so every alive point's
+//! [`ShardedId`](crate::ShardedId) changes. Two guarantees
 //! keep pre-rebalance handles safe:
 //!
 //! * **Remapping** — [`rebalance_state`] returns a [`RemapEntry`]
@@ -29,17 +29,15 @@
 //!   into its live remap table (composing with the table from earlier
 //!   rebalances) so a handle issued *any* number of rebalances ago
 //!   still resolves.
-//! * **No reuse** — every rebuilt engine's id space is shifted past
+//! * **No reuse** — every rebuilt shard's id space is shifted past
 //!   the largest `next_id` of the cut, so a fresh id can never collide
 //!   with a handle issued before the rebalance. A stale handle to a
 //!   point that died *before* the cut resolves to nothing (delete
 //!   returns `false`, lookup `None`) instead of silently aliasing a
 //!   different point.
 
-use crate::pool::PoolState;
+use crate::pool::{PoolState, ShardState};
 use diversity::DivError;
-use diversity_dynamic::{DynamicConfig, DynamicDiversity};
-use metric::Metric;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -189,7 +187,7 @@ pub struct RebalanceStats {
 ///
 /// Deterministic given the cut: donor shards are visited in descending
 /// occupancy (ties: lower index first), their alive points in
-/// ascending engine id, and each point lands in the currently
+/// ascending id, and each point lands in the currently
 /// least-occupied target shard (ties: lowest index) — greedy
 /// largest-first, which leaves target occupancies within one point of
 /// each other, i.e. skew as close to `1.0` as the population allows.
@@ -205,41 +203,41 @@ pub struct RebalanceStats {
 /// multiset of points as the cut, so restoring it yields a pool whose
 /// every extraction/merge/solve certifies the same ground truth — see
 /// the module docs.
-pub fn rebalance_state<P, M>(
-    metric: &M,
+pub fn rebalance_state<P: Clone>(
     cut: &PoolState<P>,
-) -> Result<(PoolState<P>, Vec<RemapEntry>), DivError>
-where
-    P: Clone + Send + Sync,
-    M: Metric<P> + Clone,
-{
+) -> Result<(PoolState<P>, Vec<RemapEntry>), DivError> {
     let shards = cut.shards.len();
     if shards == 0 {
         return Err(DivError::CorruptState {
             reason: "pool checkpoint holds no shards".into(),
         });
     }
-    let config = DynamicConfig {
-        epsilon: cut.shards[0].epsilon,
-        dim: cut.shards[0].dim,
-        max_depth: cut.shards[0].max_depth,
-    };
+    let (epsilon, dim) = (cut.shards[0].epsilon, cut.shards[0].dim);
     // Fresh ids must never collide with any id the cut could have
-    // issued: shift every rebuilt engine's id space past the largest
+    // issued: shift every rebuilt shard's id space past the largest
     // allocator position in the cut.
     let base = cut.shards.iter().map(|s| s.next_id).max().unwrap_or(0);
 
-    // Alive points per donor shard, ascending by engine id (the
-    // checkpoint stores nodes in that order, but sort anyway — the
-    // assignment order below is contract).
+    // Alive points per donor shard, ascending by id (the checkpoint
+    // stores them in that order, but sort anyway — the assignment
+    // order below is contract).
     let mut donors: Vec<(usize, Vec<(u64, P)>)> = Vec::with_capacity(shards);
     for (shard, s) in cut.shards.iter().enumerate() {
-        if s.epsilon != config.epsilon || s.dim != config.dim || s.max_depth != config.max_depth {
+        if s.epsilon != epsilon || s.dim != dim {
             return Err(DivError::CorruptState {
                 reason: format!("shard {shard} checkpointed under a different configuration"),
             });
         }
-        let mut alive: Vec<(u64, P)> = s.nodes.iter().map(|n| (n.id, n.point.clone())).collect();
+        if s.ids.len() != s.points.len() {
+            return Err(DivError::CorruptState {
+                reason: format!(
+                    "shard {shard}: {} ids for {} points",
+                    s.ids.len(),
+                    s.points.len()
+                ),
+            });
+        }
+        let mut alive: Vec<(u64, P)> = s.ids.iter().copied().zip(s.points.clone()).collect();
         alive.sort_by_key(|(id, _)| *id);
         donors.push((shard, alive));
     }
@@ -265,36 +263,33 @@ where
         }
     }
 
-    // Rebuild one engine per target, shift its id space past `base`,
-    // and record old → new for every point.
+    // One shard per target, as if its points were inserted in order
+    // into an empty shard whose id space starts at `base`: ids
+    // `base, base + 1, ...`, the first of them the start.
     let mut states = Vec::with_capacity(shards);
     let mut fresh = Vec::new();
     for (target, bucket) in assigned.into_iter().enumerate() {
-        let mut engine = DynamicDiversity::with_config(metric.clone(), config);
+        let mut ids = Vec::with_capacity(bucket.len());
+        let mut points = Vec::with_capacity(bucket.len());
         for (from, point) in bucket {
-            let local = engine.insert(point);
+            let id = base + ids.len() as u64;
             let to = crate::ShardedId {
                 shard: target,
-                id: diversity_dynamic::PointId::from_raw(local.raw() + base),
+                id: diversity_dynamic::PointId::from_raw(id),
             }
             .try_encode()?;
             fresh.push(RemapEntry { from, to });
+            ids.push(id);
+            points.push(point);
         }
-        let mut state = engine.state();
-        for node in &mut state.nodes {
-            node.id += base;
-            if let Some(parent) = node.parent.as_mut() {
-                *parent += base;
-            }
-            for child in &mut node.children {
-                *child += base;
-            }
-        }
-        if let Some(root) = state.root.as_mut() {
-            *root += base;
-        }
-        state.next_id += base;
-        states.push(state);
+        states.push(ShardState {
+            start: ids.first().copied(),
+            next_id: base + ids.len() as u64,
+            ids,
+            points,
+            epsilon,
+            dim,
+        });
     }
 
     // Compose with the cut's own remap so handles from *earlier*

@@ -1,4 +1,4 @@
-//! Shard routing: which engine absorbs an update.
+//! Shard routing: which shard absorbs an update.
 //!
 //! Routing only affects *which* shard a point lands in, never the
 //! answer's soundness — the warm-path certificate composes as the max
@@ -43,7 +43,7 @@ pub struct RouterState {
     /// count is a pool property, passed to every [`Router::route`]
     /// call), so [`Router::checkpoint`] records `0` and the pool
     /// overwrites it with the real count. `ShardPool::restore`
-    /// cross-checks it against the engine-state vector: a `HashRouter`
+    /// cross-checks it against the shard-state vector: a `HashRouter`
     /// checkpointed over 4 shards mis-routes every stable-id placement
     /// if silently restored over 3.
     pub shards: u64,

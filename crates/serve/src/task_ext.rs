@@ -14,16 +14,15 @@ use metric::Metric;
 
 /// Extension trait giving [`Task`] the persistent-handle entry point
 /// into the serving layer. Where `Task::run_sharded` executes
-/// `Strategy::ShardedDynamic` cold — building every shard engine for
-/// one query and dropping them — `serve` hands back the long-lived
-/// [`ShardPool`] those engines live in, so updates amortize and
-/// queries run extraction-only ([`ShardPool::query`]).
+/// `Strategy::ShardedDynamic` cold — the 2-round job over every part,
+/// for one query — `serve` hands back the long-lived [`ShardPool`]
+/// whose shards keep that job's round 1 current, so updates amortize
+/// and queries read the maintained prefixes ([`ShardPool::query`]).
 pub trait Serve {
-    /// An empty pool of `shards` engines, configured from this task's
-    /// budget: [`Budget::Eps`] seeds each shard's
-    /// [`DynamicConfig`] with the target `ε` and dimension (so `Auto`
-    /// extraction budgets and the maintained structure agree with the
-    /// task's accuracy intent); other budgets use the engine default.
+    /// An empty pool of `shards` shards, configured from this task's
+    /// budget: [`Budget::Eps`] seeds the pool's [`DynamicConfig`] with
+    /// the target `ε` and dimension (so `Auto` budgets agree with the
+    /// task's accuracy intent); other budgets use the default.
     /// Feed traffic with [`ShardPool::insert`]/[`delete`](ShardPool::delete),
     /// answer with [`ShardPool::query`]`(&task)`.
     fn serve<P, M>(&self, metric: M, shards: usize) -> Result<ShardPool<P, M>, DivError>
@@ -34,8 +33,8 @@ pub trait Serve {
     /// A pool pre-loaded from an existing partitioning — one shard per
     /// part, points inserted in part order — so a cold `run_sharded`
     /// deployment can hand its data layout to the warm path. At the
-    /// quiescent point right after seeding, `pool.query(&task)` solves
-    /// the same composed core-set as `task.run_sharded(&parts, ..)`
+    /// quiescent point right after seeding, `pool.query(&task)` returns
+    /// what `task.run_sharded(&parts, ..)` returns, bit for bit
     /// (provenance differs: the pool speaks [`crate::ShardedId`]s, the
     /// cold path original input positions).
     fn serve_seeded<P, M>(

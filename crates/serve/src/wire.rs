@@ -1,11 +1,11 @@
 //! Binary codec impls for the pool's checkpoint types
-//! ([`PoolState`], [`RouterState`], [`RemapEntry`]) — the serving
-//! layer's half of [`diversity::wire`]. A pool checkpoint written with
+//! ([`PoolState`], [`ShardState`], [`RouterState`], [`RemapEntry`]) —
+//! the serving layer's half of [`diversity::wire`]. A pool checkpoint written with
 //! [`diversity::wire::to_bytes`] is the dense on-disk/on-wire form the
 //! `divmax-serve` Checkpoint opcode ships; the JSON serde path remains
 //! the debuggable one.
 
-use crate::pool::PoolState;
+use crate::pool::{PoolState, ShardState};
 use crate::rebalance::RemapEntry;
 use crate::router::RouterState;
 use diversity::wire::{BinRead, BinReader, BinWrite, WireError};
@@ -40,6 +40,30 @@ impl BinRead for RemapEntry {
         Ok(RemapEntry {
             from: BinRead::read_bin(r)?,
             to: BinRead::read_bin(r)?,
+        })
+    }
+}
+
+impl<P: BinWrite> BinWrite for ShardState<P> {
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        self.ids.write_bin(out);
+        self.points.write_bin(out);
+        self.start.write_bin(out);
+        self.next_id.write_bin(out);
+        self.epsilon.write_bin(out);
+        self.dim.write_bin(out);
+    }
+}
+
+impl<P: BinRead> BinRead for ShardState<P> {
+    fn read_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        Ok(ShardState {
+            ids: BinRead::read_bin(r)?,
+            points: BinRead::read_bin(r)?,
+            start: BinRead::read_bin(r)?,
+            next_id: BinRead::read_bin(r)?,
+            epsilon: BinRead::read_bin(r)?,
+            dim: BinRead::read_bin(r)?,
         })
     }
 }

@@ -1,13 +1,13 @@
 //! The chaos extension of the churn-stress harness: the same
-//! concurrent writers-vs-readers schedule as `serve_churn`, run under
-//! an installed seeded [`faults::FaultPlan`] — injected shard panics,
+//! concurrent writers-vs-readers schedule as `serve_churn`, run on a
+//! pool holding a seeded [`faults::FaultPlan`] — injected shard panics,
 //! slow held locks, transient query/recovery failures, corrupted
 //! checkpoint text — with the full quiescent ground-truth audits after
 //! every round:
 //!
 //! * every fault stays **typed and bounded** (the [`chaos_round`]
 //!   driver asserts the failure surface op by op);
-//! * after the plan is uninstalled and [`ShardPool::recover_all`]
+//! * after the plan is disarmed and [`ShardPool::recover_all`]
 //!   runs, **every shard is `Healthy`** — every injected panic ended
 //!   in a completed recovery;
 //! * the recovered pool's answer sits inside the structure-reported
@@ -34,11 +34,7 @@ use diversity_serve::{
     assert_degradation_consistent, chaos_round, value_loss, ChurnConfig, Serve, ShardHealth,
     ShardPool,
 };
-use std::sync::{Arc, Mutex, Once};
-
-/// The process-global fault plan is shared by every test in this
-/// binary; serialize the tests that install one.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Once};
 
 /// Installs one process-wide [`obs::Registry`] for the whole binary
 /// (the recorder is global; pools namespace their gauges).
@@ -91,33 +87,34 @@ fn gen_point(stream: u64, i: u64) -> VecPoint {
 /// The built-in chaos mix: every fault kind the serving stack handles,
 /// at rates sized so a few hundred operations see several of each.
 /// `DIVMAX_FAULTS` (CI's pinned seed) takes precedence.
-fn install_chaos_plan() -> Arc<faults::FaultPlan> {
-    if faults::install_from_env() {
-        return faults::plan().expect("just installed from env");
-    }
-    let plan = Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
-        seed: 42,
-        panic: 0.03,
-        slow: 0.01,
-        slow_ms: 1,
-        corrupt: 0.35,
-        drop: 0.0,
-        transient: 0.02,
-    }));
-    faults::install(plan.clone());
-    plan
+fn chaos_plan() -> Arc<faults::FaultPlan> {
+    Arc::new(faults::FaultPlan::from_env().unwrap_or_else(|| {
+        faults::FaultPlan::from_spec(faults::FaultSpec {
+            seed: 42,
+            panic: 0.03,
+            slow: 0.01,
+            slow_ms: 1,
+            corrupt: 0.35,
+            drop: 0.0,
+            transient: 0.02,
+        })
+    }))
+}
+
+/// A plan with only `spec`'s rates, for one phase of a test.
+fn plan_of(spec: faults::FaultSpec) -> Arc<faults::FaultPlan> {
+    Arc::new(faults::FaultPlan::from_spec(spec))
 }
 
 #[test]
 fn chaos_churn_survives_and_stays_certified() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let registry = shared_registry();
     quiet_injected_panics();
 
     let problem = Problem::RemoteEdge;
     let k = 5;
     let task = Task::new(problem, k).budget(Budget::KPrime(8 * k));
-    let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).expect("valid pool spec");
+    let mut pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).expect("valid pool spec");
     let k_prime = task.dynamic_k_prime(pool.config()).expect("valid budget");
     let alpha = problem.alpha();
 
@@ -137,16 +134,13 @@ fn chaos_churn_survives_and_stays_certified() {
 
     let mut total_faults = 0usize;
     for round in 0..3u64 {
-        let plan = install_chaos_plan();
+        let plan = chaos_plan();
+        pool = pool.with_faults(plan.clone());
         let outcome = chaos_round(&pool, &task, &cfg, |w, i| {
             gen_point(round * 101 + w as u64, i as u64)
         });
-        let uninstalled = faults::uninstall().expect("plan was installed");
-        assert!(
-            Arc::ptr_eq(&plan, &uninstalled),
-            "our plan was the one driving"
-        );
-        total_faults += uninstalled.log().len();
+        plan.disarm();
+        total_faults += plan.log().len();
 
         // ---- quiescent audits, after full recovery -----------------
         pool.recover_all()
@@ -197,16 +191,15 @@ fn chaos_churn_survives_and_stays_certified() {
         // bit-identically.
         let clean = serde_json::to_string(&pool.checkpoint().expect("healthy checkpoint"))
             .expect("serialize pool");
-        faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+        let corrupting = plan_of(faults::FaultSpec {
             corrupt: 1.0,
             ..faults::FaultSpec::from_seed(round)
-        })));
+        });
         let mut corrupted = clean.clone();
         assert!(
-            faults::corrupt_text(faults::sites::CHECKPOINT_BYTES, &mut corrupted),
+            corrupting.corrupt_text(faults::sites::CHECKPOINT_BYTES, &mut corrupted),
             "rate-1.0 corruption must fire"
         );
-        faults::uninstall();
         match serde_json::from_str::<diversity_serve::PoolState<VecPoint>>(&corrupted) {
             Err(_) => {} // truncation broke the JSON: rejected at parse
             Ok(state) => {
@@ -271,16 +264,17 @@ fn chaos_churn_survives_and_stays_certified() {
     // A rate-1.0 panic plan forces the full panic → quarantine →
     // recovery path regardless of the seeded mix above, so the
     // exported snapshot always carries the keys CI gates on.
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+    let plan = plan_of(faults::FaultSpec {
         panic: 1.0,
         ..faults::FaultSpec::from_seed(7)
-    })));
+    });
+    pool = pool.with_faults(plan.clone());
     let refused = pool.insert(gen_point(3, 3));
     assert!(
         matches!(refused, Err(DivError::ShardUnavailable { .. })),
         "under panic=1.0 both attempts panic: {refused:?}"
     );
-    faults::uninstall();
+    plan.disarm();
     pool.recover_all().expect("recovers once faults stop");
     assert!(pool.healths().iter().all(|h| *h == ShardHealth::Healthy));
     pool.insert(gen_point(3, 4)).expect("healthy again");
@@ -303,10 +297,11 @@ fn chaos_churn_survives_and_stays_certified() {
         "doubling the pool onto shard 0 must drive the trigger, got {skew_before}"
     );
     let len_before = pool.len();
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+    let plan = plan_of(faults::FaultSpec {
         panic: 0.5,
         ..faults::FaultSpec::from_seed(20170807)
-    })));
+    });
+    pool = pool.with_faults(plan.clone());
     let mut refusals = 0usize;
     let report = loop {
         match pool.rebalance() {
@@ -325,7 +320,7 @@ fn chaos_churn_survives_and_stays_certified() {
             Err(other) => panic!("rebalance under faults fails typed, got {other}"),
         }
     };
-    faults::uninstall();
+    plan.disarm();
     assert!(
         report.skew_after < skew_before,
         "a committed rebalance strictly lowers the skew ({} -> {})",
@@ -374,7 +369,6 @@ fn chaos_churn_survives_and_stays_certified() {
 /// equal.
 #[test]
 fn seeded_chaos_is_deterministic() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     shared_registry();
     quiet_injected_panics();
 
@@ -395,7 +389,7 @@ fn seeded_chaos_is_deterministic() {
         for i in 0..40 {
             pool.insert(gen_point(9, i)).expect("fault-free seeding");
         }
-        faults::install(plan.clone());
+        let pool = pool.with_faults(plan.clone());
         let mut mine = Vec::new();
         let mut next_delete = 0usize;
         let mut outcomes: Vec<String> = Vec::new();
@@ -424,7 +418,7 @@ fn seeded_chaos_is_deterministic() {
                 }
             }
         }
-        faults::uninstall();
+        plan.disarm();
         pool.recover_all().expect("recovery drains the quarantine");
         let final_value = pool.query(&task).expect("recovered pool answers");
         outcomes.push(format!(

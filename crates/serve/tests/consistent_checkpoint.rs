@@ -28,9 +28,9 @@ fn gen_point(stream: u64, i: u64) -> VecPoint {
 fn mid_churn_consistent_snapshot_restores_bit_identically() {
     let task = Task::new(Problem::RemoteEdge, 5).budget(Budget::KPrime(40));
     let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).expect("valid pool spec");
-    for i in 0..120 {
-        pool.insert(gen_point(u64::MAX, i)).expect("seed insert");
-    }
+    let seeds: Vec<_> = (0..120)
+        .map(|i| pool.insert(gen_point(u64::MAX, i)).expect("seed insert"))
+        .collect();
 
     let stop = AtomicBool::new(false);
     let snapshots: Vec<PoolState<VecPoint>> = std::thread::scope(|scope| {
@@ -86,7 +86,7 @@ fn mid_churn_consistent_snapshot_restores_bit_identically() {
         );
 
         // Bit-identical: restoring the same bytes twice gives the same
-        // engines, answers, and re-checkpointed state.
+        // shards, answers, and re-checkpointed state.
         let twin = ShardPool::restore(
             Euclidean,
             from_bytes::<PoolState<VecPoint>>(&bytes).expect("decode again"),
@@ -103,10 +103,12 @@ fn mid_churn_consistent_snapshot_restores_bit_identically() {
 
         // The seed points (never deleted by any writer) are all in the
         // cut — acknowledged-before-snapshot writes are never torn out.
-        let alive = restored.alive();
-        let seeds_alive = alive
+        // Checked by handle: churn points may repeat a seed point's
+        // coordinates, so matching by value would overcount.
+        let seeds_alive = seeds
             .iter()
-            .filter(|(_, p)| (0..120).any(|i| p.coords() == gen_point(u64::MAX, i).coords()))
+            .enumerate()
+            .filter(|&(i, &id)| restored.point(id) == Some(gen_point(u64::MAX, i as u64)))
             .count();
         assert_eq!(
             seeds_alive, 120,

@@ -1,16 +1,15 @@
 //! The warm-path serving layer: a long-lived [`ShardPool`] absorbing
 //! live traffic (inserts + deletes) and answering diversity queries
-//! from the maintained shard structures — no engine rebuilds, no data
-//! rescans.
+//! from the maintained shard prefixes — no data rescans.
 //!
 //! The scenario: a news-feed service keeps the last few hours of
 //! stories in a 4-shard pool. Stories arrive continuously, old ones
 //! expire, and every dashboard refresh asks for the `k` most diverse
 //! stories *right now*. The cold alternative (`Task::run_sharded`)
-//! rebuilds every shard engine per refresh; the pool amortizes that
-//! into the update stream and serves each refresh extraction-only —
-//! then snapshots itself so a restart resumes with bit-identical
-//! answers.
+//! reruns round 1 of the 2-round job over every shard per refresh;
+//! the pool keeps that round current under the update stream and
+//! answers each refresh from it, with the same answer — then snapshots
+//! itself so a restart resumes with bit-identical answers.
 //!
 //! Run with: `cargo run --release --example serving`
 

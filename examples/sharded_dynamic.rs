@@ -1,14 +1,13 @@
-//! The sharded-dynamic composition: per-shard fully dynamic engines
-//! whose extracted `Coreset` artifacts merge through the 2-round
-//! MapReduce combiner — the paper's composable-core-set glue turned
-//! into a fifth backend.
+//! The sharded composition: per-shard `Coreset` artifacts merged
+//! through the 2-round MapReduce combiner — the paper's
+//! composable-core-set glue as a fifth backend.
 //!
 //! The scenario: a serving fleet holds the dataset sharded across
-//! machines, each shard maintained by a dynamic engine under live
-//! inserts/deletes. A diversity query then costs one core-set
-//! extraction per shard (no shard rescans its raw points), one merge
-//! (radius = max of shards, by Definition 2's composition law), and
-//! one sequential solve on the small union.
+//! machines. `Task::run_sharded` answers cold (round 1 of the 2-round
+//! job per shard, then one merge — radius = max of shards, by
+//! Definition 2's composition law — and one sequential solve on the
+//! small union); a `ShardPool` (`Task::serve`) keeps each shard's
+//! round 1 current under live inserts/deletes and answers the same.
 //!
 //! Run with: `cargo run --release --example sharded_dynamic`
 
@@ -23,7 +22,7 @@ fn main() -> Result<(), DivError> {
     let parts = mapreduce::partition::split_random(points.clone(), shards, 11);
     let rt = mapreduce::MapReduceRuntime::with_threads(shards);
 
-    // One call: engines per shard, extraction, merge, combine.
+    // One call: round 1 per shard, merge, combine.
     let sharded = task.run_sharded(&parts, &Euclidean, &rt)?;
 
     // The same task on the plain substrates, for comparison.
@@ -55,8 +54,8 @@ fn main() -> Result<(), DivError> {
         );
     }
 
-    // What the composition means: the per-shard engines never shipped
-    // their raw points — only `coreset_size` points crossed the wire,
+    // What the composition means: the shards never shipped their raw
+    // points — only `coreset_size` points crossed the wire,
     // with a covering-radius certificate composed as the max of the
     // per-shard radii (Lemmas 3–4 / Definition 2).
     let shipped = sharded.coreset_size;
@@ -69,12 +68,14 @@ fn main() -> Result<(), DivError> {
     );
 
     // The low-level artifact API the backend is built from — what a
-    // real serving layer would run inside each shard process:
-    let mut engine = DynamicDiversity::new(Euclidean);
-    for p in &parts.parts[0] {
-        engine.insert(p.clone());
-    }
-    let artifact: Coreset<VecPoint> = engine.extract_coreset(Problem::RemoteEdge, k, 16 * k);
+    // shard process ships to the combiner:
+    let artifact: Coreset<VecPoint> = pipeline::extract_coreset_artifact(
+        Problem::RemoteEdge,
+        &parts.parts[0],
+        &Euclidean,
+        k,
+        16 * k,
+    );
     let wire = serde_json::to_string(&artifact).expect("artifacts are wire types");
     println!(
         "shard 0 artifact: {} points, radius {:.4}, {} bytes on the wire",

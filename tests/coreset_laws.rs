@@ -135,8 +135,9 @@ proptest! {
         prop_assert!(child.certifies(&points, &Euclidean, 1e-9));
     }
 
-    /// The sharded-dynamic backend: composed certificate sound, value
-    /// within the documented factor of `run_seq`, on ≥ 3 problems.
+    /// The sharded backend (`two_round` over the parts): composed
+    /// certificate sound, value within the documented factor of
+    /// `run_seq`, on ≥ 3 problems.
     #[test]
     fn sharded_dynamic_tracks_run_seq(points in arb_points(), shards in 2usize..5) {
         let parts = mapreduce::partition::split_round_robin(points.clone(), shards);
@@ -154,11 +155,7 @@ proptest! {
             // Soundness of the composed radius: rebuild the union the
             // run solved on and certify against the full input.
             let merged = Coreset::merge_all(parts.parts.iter().filter(|p| !p.is_empty()).map(|part| {
-                let mut engine = DynamicDiversity::new(Euclidean);
-                for p in part {
-                    engine.insert(p.clone());
-                }
-                engine.extract_coreset(problem, K, K_PRIME)
+                pipeline::extract_coreset_artifact(problem, part, &Euclidean, K, K_PRIME)
             }))
             .unwrap();
             prop_assert_eq!(Some(merged.radius()), sharded.coreset_radius);

@@ -24,11 +24,8 @@ use diversity_serve::{
     value_loss, PoolState, RouterState, Serve, ShardHealth, ShardPool, ShardedId,
 };
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::time::Duration;
-
-/// Tests that install a process-global fault plan are serialized.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Injected panics are expected; keep them off stderr.
 fn quiet_injected_panics() {
@@ -158,7 +155,6 @@ fn fully_quarantined_pool_refuses_typed() {
 /// identically to a pool that never failed.
 #[test]
 fn recovered_pool_is_bit_identical_to_a_never_failed_one() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     let task = Task::new(Problem::RemoteClique, 3).budget(Budget::KPrime(18));
 
@@ -176,12 +172,13 @@ fn recovered_pool_is_bit_identical_to_a_never_failed_one() {
 
     // Inject: both mutation attempts panic, the insert is refused, the
     // shard ends quarantined-then-recovered with the op NOT applied.
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+    let plan = Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
         panic: 1.0,
         ..faults::FaultSpec::from_seed(99)
-    })));
+    }));
+    let failed = failed.with_faults(plan.clone());
     let refused = failed.insert_to(0, gen_point(1000));
-    faults::uninstall();
+    plan.disarm();
     assert!(
         matches!(refused, Err(DivError::ShardUnavailable { shard: 0 })),
         "got {refused:?}"
@@ -218,7 +215,8 @@ fn recovered_pool_is_bit_identical_to_a_never_failed_one() {
 
 /// Corrupt pool checkpoints are rejected with the typed error — every
 /// flavor: no shards, mismatched shard configurations, truncated wire
-/// text, and structural corruption (dangling links) inside a shard.
+/// text, and structural corruption (a dead start, ids out of order)
+/// inside a shard.
 #[test]
 fn corrupt_pool_checkpoints_are_rejected_typed() {
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
@@ -254,28 +252,27 @@ fn corrupt_pool_checkpoints_are_rejected_typed() {
     // Truncated wire text: rejected at parse (the serde layer).
     assert!(serde_json::from_str::<PoolState<VecPoint>>(&json[..json.len() - 7]).is_err());
 
-    // Bit-flipped structure that still parses: a dangling parent link
-    // inside shard 1 must surface as CorruptState, naming the shard.
-    // Detach the victim from its old parent's child list too, so the
-    // dangling link is the *only* defect regardless of which node the
-    // validator visits first.
+    // Corrupt structure that still parses: a start that is not alive
+    // in shard 1, and ids out of order in shard 2, each surface as
+    // CorruptState naming the shard and the defect.
     let mut flipped = state.clone();
-    let victim = flipped.shards[1].nodes[1].id;
-    for node in &mut flipped.shards[1].nodes {
-        node.children.retain(|&c| c != victim);
-    }
-    flipped.shards[1].nodes[1].parent = Some(9_999);
-    let err = ShardPool::restore(Euclidean, flipped).expect_err("dangling");
+    flipped.shards[1].start = Some(9_999);
+    let err = ShardPool::restore(Euclidean, flipped).expect_err("dead start");
     match &err {
         DivError::CorruptState { reason } => {
             assert!(reason.contains("shard 1"), "names the shard: {reason}");
-            assert!(
-                reason.contains("dangling parent"),
-                "names the defect: {reason}"
-            );
+            assert!(reason.contains("start id"), "names the defect: {reason}");
         }
         other => panic!("got {other}"),
     }
+    let mut shuffled = state.clone();
+    shuffled.shards[2].ids.swap(0, 1);
+    let err = ShardPool::restore(Euclidean, shuffled).expect_err("ids out of order");
+    assert!(
+        matches!(&err, DivError::CorruptState { reason }
+            if reason.contains("shard 2") && reason.contains("not ascending")),
+        "got {err}"
+    );
 
     // The untouched state still restores and answers.
     let restored = ShardPool::restore(Euclidean, state).expect("clean state restores");
@@ -317,19 +314,18 @@ fn deadline_budgets_degrade_deterministically() {
 /// stays consistent (decode∘encode is identity on everything alive).
 #[test]
 fn refused_operations_leave_no_trace() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     let task = Task::new(Problem::RemoteEdge, 3).budget(Budget::KPrime(12));
-    let pool = seeded_pool(&task);
+    let plan = Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+        panic: 1.0,
+        ..faults::FaultSpec::from_seed(5)
+    }));
+    let pool = seeded_pool(&task).with_faults(plan.clone());
     let victim = pool.alive()[0].0;
     let before = pool.len();
 
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
-        panic: 1.0,
-        ..faults::FaultSpec::from_seed(5)
-    })));
     let refused = pool.delete(victim);
-    faults::uninstall();
+    plan.disarm();
     assert!(matches!(refused, Err(DivError::ShardUnavailable { .. })));
 
     pool.recover_all().expect("recover");

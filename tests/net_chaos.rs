@@ -12,12 +12,8 @@ use diversity_net::{
 };
 use diversity_serve::{ShardHealth, ShardPool};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::time::Duration;
-
-/// The process-global fault plan is shared by every test in this
-/// binary; serialize the tests that install one.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Injected panics are expected; keep them off stderr while still
 /// printing genuine ones.
@@ -37,27 +33,30 @@ fn quiet_injected_panics() {
     });
 }
 
-fn install_chaos_plan() -> Arc<faults::FaultPlan> {
-    if faults::install_from_env() {
-        return faults::plan().expect("just installed from env");
-    }
-    let plan = Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
-        seed: 20170807,
-        panic: 0.05,
-        slow: 0.01,
-        slow_ms: 1,
-        corrupt: 0.0,
-        drop: 0.0,
-        transient: 0.05,
-    }));
-    faults::install(plan.clone());
-    plan
+/// `DIVMAX_FAULTS` (CI's pinned seed) or the built-in chaos mix.
+fn chaos_plan() -> Arc<faults::FaultPlan> {
+    Arc::new(faults::FaultPlan::from_env().unwrap_or_else(|| {
+        faults::FaultPlan::from_spec(faults::FaultSpec {
+            seed: 20170807,
+            panic: 0.05,
+            slow: 0.01,
+            slow_ms: 1,
+            corrupt: 0.0,
+            drop: 0.0,
+            transient: 0.05,
+        })
+    }))
 }
 
-fn seeded_server() -> Server<VecPoint, Euclidean> {
+/// A seeded pool behind a server; `plan` perturbs the pool from the
+/// first request on (seeding is fault-free).
+fn seeded_server(plan: Option<Arc<faults::FaultPlan>>) -> Server<VecPoint, Euclidean> {
     let (points, _) = datasets::sphere_shell(300, 8, 4, 42);
-    let pool = ShardPool::new(Euclidean, 4);
+    let mut pool = ShardPool::new(Euclidean, 4);
     pool.extend(points).expect("seed");
+    if let Some(plan) = plan {
+        pool = pool.with_faults(plan);
+    }
     Server::start(
         pool,
         ServerConfig {
@@ -73,8 +72,7 @@ fn seeded_server() -> Server<VecPoint, Euclidean> {
 /// drop, not an error status.
 #[test]
 fn quarantined_shards_degrade_wire_answers_without_dropping_connections() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let server = seeded_server();
+    let server = seeded_server(None);
     let task = Task::new(Problem::RemoteEdge, 4).budget(Budget::KPrime(16));
     server.pool().quarantine(1);
 
@@ -125,19 +123,18 @@ fn quarantined_shards_degrade_wire_answers_without_dropping_connections() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-/// Under an installed fault plan, concurrent wire traffic keeps every
-/// failure typed: responses are success or `NetError::Server` statuses
-/// — zero client-side protocol errors, zero server-side ones, and the
-/// pool ends healthy after recovery.
+/// With a fault plan in the served pool, concurrent wire traffic keeps
+/// every failure typed: responses are success or `NetError::Server`
+/// statuses — zero client-side protocol errors, zero server-side ones,
+/// and the pool ends healthy after recovery.
 #[test]
 fn injected_faults_stay_typed_on_the_wire() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
-    let server = seeded_server();
+    let plan = chaos_plan();
+    let server = seeded_server(Some(plan.clone()));
     let addr = server.addr();
     let task = Task::new(Problem::RemoteEdge, 4).budget(Budget::KPrime(16));
 
-    let plan = install_chaos_plan();
     let outcomes: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
         (0..4u64)
             .map(|worker| {
@@ -180,8 +177,7 @@ fn injected_faults_stay_typed_on_the_wire() {
             .map(|h| h.join().expect("client thread"))
             .collect()
     });
-    let uninstalled = faults::uninstall().expect("plan was installed");
-    assert!(Arc::ptr_eq(&plan, &uninstalled), "our plan was the driver");
+    plan.disarm();
 
     let (ok, typed, proto) = outcomes
         .iter()

@@ -29,10 +29,7 @@ use diversity::prelude::*;
 use diversity_faults as faults;
 use diversity_serve::{rebalance_state, PoolState, RebalanceConfig, Serve, ShardPool, ShardedId};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, Once};
-
-/// Tests that install a process-global fault plan are serialized.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::{Arc, Once};
 
 /// Injected panics are expected; keep them off stderr.
 fn quiet_injected_panics() {
@@ -96,7 +93,7 @@ proptest! {
         // One consistent cut; the pool stays quiescent until the live
         // rebalance takes its own (identical) cut.
         let cut = pool.checkpoint_consistent().expect("cut");
-        let (repartitioned, fresh) = rebalance_state(&Euclidean, &cut).expect("re-partition");
+        let (repartitioned, fresh) = rebalance_state(&cut).expect("re-partition");
         prop_assert_eq!(fresh.len(), placements.len(), "every alive point is remapped");
         let twin = ShardPool::restore(Euclidean, repartitioned).expect("offline twin");
 
@@ -209,19 +206,19 @@ fn skew_trigger_paces_and_old_handles_keep_resolving() {
 /// same answers, same skew, same remap table — all-or-nothing.
 #[test]
 fn mid_swap_panic_leaves_the_old_pool_serving_unchanged_answers() {
-    let _serial = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
     let task = Task::new(Problem::RemoteClique, 3).budget(Budget::KPrime(12));
     let (pool, ids) = skewed_pool(&task, 4, 30);
     let before = pool.query(&task).expect("baseline");
     let skew_before = pool.skew();
 
-    faults::install(Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
+    let plan = Arc::new(faults::FaultPlan::from_spec(faults::FaultSpec {
         panic: 1.0,
         ..faults::FaultSpec::from_seed(20170807)
-    })));
+    }));
+    let pool = pool.with_faults(plan.clone());
     let refused = pool.rebalance();
-    faults::uninstall();
+    plan.disarm();
     assert!(
         matches!(
             &refused,
@@ -246,7 +243,7 @@ fn mid_swap_panic_leaves_the_old_pool_serving_unchanged_answers() {
     // *value* may legitimately move within the certificate envelope,
     // since per-shard extraction depends on placement).
     let cut = pool.checkpoint_consistent().expect("cut");
-    let (repartitioned, _) = rebalance_state(&Euclidean, &cut).expect("re-partition");
+    let (repartitioned, _) = rebalance_state(&cut).expect("re-partition");
     let twin = ShardPool::restore(Euclidean, repartitioned).expect("twin");
     let report = pool.rebalance().expect("clean rebalance");
     assert!(report.skew_after < skew_before);

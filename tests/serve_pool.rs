@@ -33,7 +33,7 @@ fn warm_pool_matches_cold_run_sharded() {
         assert_eq!(warm.coreset_size, cold.coreset_size, "{problem}");
         assert_eq!(warm.coreset_radius, cold.coreset_radius, "{problem}");
         // Translate pool provenance back to original positions: a
-        // seeded shard's engine ids are its part's local order.
+        // seeded shard's ids are its part's local order.
         let translated: Vec<usize> = warm
             .indices
             .iter()
@@ -123,7 +123,7 @@ fn serve_validates_upfront() {
         .unwrap_err();
     assert_eq!(err, DivError::BudgetTooSmall { k_prime: 2, k: 3 });
 
-    // An Eps-budget task seeds the shard engines with its accuracy
+    // An Eps-budget task seeds the pool with its accuracy
     // intent.
     let pool = Task::new(Problem::RemoteEdge, 3)
         .budget(Budget::Eps { eps: 0.25, dim: 2 })

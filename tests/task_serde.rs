@@ -3,7 +3,6 @@
 //! `Report` results over the wire, so every value must survive
 //! serialize → deserialize bit-for-bit.
 
-use diversity::dynamic::EngineState;
 use diversity::prelude::*;
 use diversity::Strategy; // disambiguate from proptest's Strategy trait
 use proptest::prelude::*;
@@ -235,114 +234,6 @@ fn obs_snapshot_wire_format_is_stable() {
     .unwrap();
     assert_eq!(back.counter("x"), Some(3));
     assert!(back.histograms.is_empty());
-}
-
-/// The dynamic engine's checkpoint is a wire type too: a serving pool
-/// snapshots its shard engines with it (`diversity-serve`'s
-/// `PoolState` is a vector of these), so the field layout is contract
-/// — pinned here alongside the `Task`/`Coreset` pins.
-#[test]
-fn engine_state_wire_format_is_stable() {
-    let mut e = DynamicDiversity::new(Euclidean);
-    e.insert(VecPoint::from([0.0, 0.0]));
-    e.insert(VecPoint::from([6.0, 0.0]));
-    e.insert(VecPoint::from([6.5, 0.0]));
-    let id = e.insert(VecPoint::from([0.25, 0.0]));
-    e.delete(id); // `next_id` must record the dead id as spent
-    assert_eq!(
-        serde_json::to_string(&e.state()).unwrap(),
-        r#"{"nodes":[{"id":0,"point":{"coords":[0,0]},"level":3,"parent":null,"children":[1],"bucketed":false},{"id":1,"point":{"coords":[6,0]},"level":2,"parent":0,"children":[2],"bucketed":false},{"id":2,"point":{"coords":[6.5,0]},"level":-2,"parent":1,"children":[],"bucketed":false}],"root":0,"top_level":3,"next_id":4,"epsilon":1,"dim":2,"max_depth":48}"#
-    );
-
-    // Hand-assembled states deserialize (clients may construct them),
-    // and an empty engine's state is the natural fixpoint.
-    let empty: EngineState<VecPoint> = serde_json::from_str(
-        r#"{"nodes":[],"root":null,"top_level":0,"next_id":0,"epsilon":1,"dim":2,"max_depth":48}"#,
-    )
-    .unwrap();
-    assert!(empty.is_empty());
-    let resumed: DynamicDiversity<VecPoint, _> =
-        DynamicDiversity::resume(Euclidean, empty).expect("empty state resumes");
-    assert!(resumed.is_empty());
-}
-
-/// A structurally corrupt checkpoint must fail with a typed error at
-/// resume — not panic, and never answer queries from a broken
-/// hierarchy.
-#[test]
-fn corrupt_engine_state_is_rejected_at_resume() {
-    let state: EngineState<VecPoint> = serde_json::from_str(
-        r#"{"nodes":[{"id":0,"point":{"coords":[0]},"level":1,"parent":null,"children":[],"bucketed":false},{"id":1,"point":{"coords":[5]},"level":0,"parent":9,"children":[],"bucketed":false}],"root":0,"top_level":1,"next_id":2,"epsilon":1,"dim":2,"max_depth":48}"#,
-    )
-    .unwrap();
-    let err = match DynamicDiversity::resume(Euclidean, state) {
-        Err(err) => err,
-        Ok(_) => panic!("a dangling parent must not resume"),
-    };
-    assert!(
-        err.reason.contains("dangling parent"),
-        "reason names the defect: {}",
-        err.reason
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Interleaved update → checkpoint → resume → update equals the
-    /// uninterrupted run: same final structure (the `EngineState`s are
-    /// equal), same answers — the dynamic counterpart of the streaming
-    /// checkpoint losslessness tests.
-    #[test]
-    fn engine_checkpoint_mid_churn_is_lossless(
-        script in proptest::collection::vec(
-            (0.0f64..100.0, 0.0f64..100.0, 0u32..4), 12..60),
-        cut in 0usize..60,
-    ) {
-        let cut = cut % script.len().max(1);
-        let apply = |engine: &mut DynamicDiversity<VecPoint, Euclidean>,
-                     alive: &mut Vec<PointId>,
-                     (x, y, sel): (f64, f64, u32)| {
-            if sel == 0 && alive.len() > 4 {
-                let victim = alive.remove((x as usize) % alive.len());
-                prop_assert!(engine.delete(victim));
-            } else {
-                alive.push(engine.insert(VecPoint::from([x, y])));
-            }
-            Ok(())
-        };
-
-        // Uninterrupted run.
-        let mut direct = DynamicDiversity::new(Euclidean);
-        let mut direct_alive = Vec::new();
-        for &op in &script {
-            apply(&mut direct, &mut direct_alive, op)?;
-        }
-
-        // Interrupted at `cut`: serialize, ship, resume, continue.
-        let mut engine = DynamicDiversity::new(Euclidean);
-        let mut alive = Vec::new();
-        for &op in &script[..cut] {
-            apply(&mut engine, &mut alive, op)?;
-        }
-        let json = serde_json::to_string(&engine.state()).unwrap();
-        let state: EngineState<VecPoint> = serde_json::from_str(&json).unwrap();
-        let mut engine =
-            DynamicDiversity::resume(Euclidean, state).expect("own checkpoint resumes");
-        for &op in &script[cut..] {
-            apply(&mut engine, &mut alive, op)?;
-        }
-
-        prop_assert_eq!(engine.state(), direct.state());
-        if !engine.is_empty() {
-            engine.validate();
-            let k = 3.min(engine.len());
-            let a = engine.solve_with_budget(Problem::RemoteEdge, k, k.max(8));
-            let b = direct.solve_with_budget(Problem::RemoteEdge, k, k.max(8));
-            prop_assert_eq!(a.ids, b.ids);
-            prop_assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-    }
 }
 
 #[test]

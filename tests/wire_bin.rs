@@ -216,7 +216,7 @@ fn corrupt_pool_checkpoint_is_rejected_not_a_panic() {
         );
     }
     // Flipping each byte either still decodes (a value change the
-    // engine re-validates on restore) or fails typed — never panics.
+    // pool re-validates on restore) or fails typed — never panics.
     for i in (0..bytes.len()).step_by(11) {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xA5;
