@@ -102,7 +102,10 @@ impl MapReduceRuntime {
 
     /// Executes one round: applies `reducer(i, &inputs[i])` to every
     /// logical reducer `i`, at most [`Self::threads`] concurrently, and
-    /// returns the outputs in reducer order plus the round's stats.
+    /// returns the outputs in reducer order plus the round's stats. A
+    /// pass with one worker (one pending reducer, or a one-thread
+    /// runtime) runs on the calling thread: spawning one costs more
+    /// than a warm serving query's whole combine.
     ///
     /// `measure_emitted` converts an output to its shuffle size in
     /// points.
@@ -147,36 +150,39 @@ impl MapReduceRuntime {
             // the partition keeps failing on the final attempt.
             let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        if slot >= pending_pass.len() {
-                            break;
-                        }
-                        let i = pending_pass[slot];
-                        let reducer_start = Instant::now();
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            reducer(i, &inputs[i])
-                        }));
-                        let took = reducer_start.elapsed();
-                        match out {
-                            // An injected partition loss discards the
-                            // output; the next pass re-runs the reducer.
-                            Ok(out) => {
-                                if !diversity_faults::should_drop(
-                                    diversity_faults::sites::MR_PARTITION,
-                                ) {
-                                    results.lock()[i] = Some((out, took));
-                                }
-                            }
-                            Err(payload) => {
-                                *panic_slot.lock() = Some(payload);
-                            }
-                        }
-                    });
+            let work = || loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                if slot >= pending_pass.len() {
+                    break;
                 }
-            });
+                let i = pending_pass[slot];
+                let reducer_start = Instant::now();
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    reducer(i, &inputs[i])
+                }));
+                let took = reducer_start.elapsed();
+                match out {
+                    // An injected partition loss discards the output;
+                    // the next pass re-runs the reducer.
+                    Ok(out) => {
+                        if !diversity_faults::should_drop(diversity_faults::sites::MR_PARTITION) {
+                            results.lock()[i] = Some((out, took));
+                        }
+                    }
+                    Err(payload) => {
+                        *panic_slot.lock() = Some(payload);
+                    }
+                }
+            };
+            if workers == 1 {
+                work();
+            } else {
+                std::thread::scope(|scope| {
+                    for _ in 0..workers {
+                        scope.spawn(work);
+                    }
+                });
+            }
 
             {
                 let done = results.lock();
@@ -325,6 +331,20 @@ mod tests {
         let inputs: Vec<u64> = (0..100).collect();
         let (out, _) = rt.run_round("test", &inputs, |_, &x| x * 2, |_| 1, |_| 0);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_single_worker_pass_runs_on_the_calling_thread() {
+        let rt = MapReduceRuntime::with_threads(4);
+        let caller = std::thread::current().id();
+        let (out, _) = rt.run_round(
+            "one",
+            &[7u64],
+            |_, &x| (x, std::thread::current().id()),
+            |_| 1,
+            |_| 1,
+        );
+        assert_eq!(out, vec![(7, caller)]);
     }
 
     #[test]

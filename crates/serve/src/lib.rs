@@ -118,7 +118,7 @@ pub use churn::{
     assert_degradation_consistent, chaos_round, churn_round, env_ops, value_loss, ChaosOutcome,
     ChurnConfig, ChurnOutcome,
 };
-pub use pool::{PoolState, ShardHealth, ShardPool, ShardState, ShardedId};
+pub use pool::{PoolConfig, PoolState, ShardHealth, ShardPool, ShardState, ShardedId};
 pub use prefix::ShardStats;
 pub use rebalance::{
     rebalance_state, RebalanceConfig, RebalanceReport, RebalanceStats, RemapEntry,

@@ -100,6 +100,43 @@ impl std::fmt::Display for ShardedId {
     }
 }
 
+/// What sizes a pool's [`Budget::Auto`](diversity::Budget::Auto)
+/// queries, and all a pool takes as configuration: the kernel budget
+/// `(base/ε)^D · k` of [`Task::dynamic_k_prime`] with this `ε` and
+/// `D`. The maintained prefixes need no setting: their length follows
+/// the largest `k'` asked.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PoolConfig {
+    /// Target core-set accuracy `ε`.
+    pub epsilon: f64,
+    /// Assumed doubling dimension `D` of the data.
+    pub dim: u32,
+}
+
+impl Default for PoolConfig {
+    /// The dynamic engine's defaults, `ε = 1` and `D = 2`.
+    fn default() -> Self {
+        let DynamicConfig { epsilon, dim, .. } = DynamicConfig::default();
+        Self { epsilon, dim }
+    }
+}
+
+impl PoolConfig {
+    /// The `k'` a pool with this configuration answers `task` with:
+    /// [`Budget::KPrime`](diversity::Budget::KPrime) as given,
+    /// [`Budget::Eps`](diversity::Budget::Eps) through the Theorem 4–5
+    /// formula, `Auto` through this `ε` and `D` (capped at the
+    /// budget's cap, floored at `k`) — as [`Task::run_dynamic`]
+    /// resolves it.
+    pub fn k_prime(&self, task: &Task) -> Result<usize, DivError> {
+        task.dynamic_k_prime(&DynamicConfig {
+            epsilon: self.epsilon,
+            dim: self.dim,
+            ..DynamicConfig::default()
+        })
+    }
+}
+
 /// One shard's checkpoint: its alive points with their ids, the start
 /// id and the next id to issue, plus the `ε` and dimension that size
 /// `Budget::Auto`. The maintained prefix is not part of it: it is a
@@ -114,9 +151,9 @@ pub struct ShardState<P> {
     pub start: Option<u64>,
     /// The id the next insert gets: ids are never reused.
     pub next_id: u64,
-    /// [`DynamicConfig::epsilon`] of the pool.
+    /// [`PoolConfig::epsilon`] of the pool.
     pub epsilon: f64,
-    /// [`DynamicConfig::dim`] of the pool.
+    /// [`PoolConfig::dim`] of the pool.
     pub dim: u32,
 }
 
@@ -401,7 +438,7 @@ pub struct ShardPool<P, M> {
     /// undisturbed while new routes see the replacement.
     shards: RwLock<Arc<Vec<Shard<P>>>>,
     metric: M,
-    config: DynamicConfig,
+    config: PoolConfig,
     router: Box<dyn Router<P>>,
     runtime: MapReduceRuntime,
     /// The fault plan this pool rolls its injection sites on.
@@ -528,13 +565,13 @@ where
     pub const QUERY_ATTEMPTS: usize = 3;
 
     /// An empty pool of `shards` shards with the default
-    /// [`DynamicConfig`] and a [`RoundRobin`] router.
+    /// [`PoolConfig`] and a [`RoundRobin`] router.
     ///
     /// # Panics
     /// Panics if `shards == 0` (`Task::serve` returns
     /// [`DivError::InvalidShards`] instead).
     pub fn new(metric: M, shards: usize) -> Self {
-        Self::with_config(metric, DynamicConfig::default(), shards)
+        Self::with_config(metric, PoolConfig::default(), shards)
     }
 
     /// An empty pool whose `Budget::Auto` queries are sized by
@@ -542,7 +579,7 @@ where
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn with_config(metric: M, config: DynamicConfig, shards: usize) -> Self {
+    pub fn with_config(metric: M, config: PoolConfig, shards: usize) -> Self {
         assert!(shards >= 1, "a pool needs at least one shard");
         let empty = ShardState {
             ids: Vec::new(),
@@ -560,7 +597,7 @@ where
 
     fn assemble(
         metric: M,
-        config: DynamicConfig,
+        config: PoolConfig,
         shards: Vec<Shard<P>>,
         remap: HashMap<u64, u64>,
         pending_router: Option<RouterState>,
@@ -640,10 +677,9 @@ where
             }
         }
         let span = diversity_obs::span("serve.restore_ns");
-        let config = DynamicConfig {
+        let config = PoolConfig {
             epsilon: state.shards[0].epsilon,
             dim: state.shards[0].dim,
-            ..DynamicConfig::default()
         };
         let shards = shards_from_states(state.shards, "shard")?;
         let router = RoundRobin::new();
@@ -804,8 +840,8 @@ where
     }
 
     /// The configuration whose `ε` and dimension size `Budget::Auto`
-    /// queries.
-    pub fn config(&self) -> &DynamicConfig {
+    /// queries ([`PoolConfig::k_prime`]).
+    pub fn config(&self) -> &PoolConfig {
         &self.config
     }
 
@@ -1473,8 +1509,8 @@ where
     /// and id).
     ///
     /// Budget resolution matches [`Task::run_dynamic`]
-    /// ([`Task::dynamic_k_prime`]): `Auto` defers to the pool's
-    /// [`DynamicConfig`] sizing rather than sampling the data (the
+    /// ([`PoolConfig::k_prime`]): `Auto` defers to the pool's
+    /// [`PoolConfig`] sizing rather than sampling the data (the
     /// warm path never rescans points). No `(α+ε)` certificate is
     /// attached — the per-query composed radius is the honest accuracy
     /// witness.
@@ -1506,7 +1542,7 @@ where
             return Err(DivError::InvalidK { k, n: None });
         }
         let problem = task.problem();
-        let k_prime = task.dynamic_k_prime(&self.config)?;
+        let k_prime = self.config.k_prime(task)?;
 
         // Admission: transient failures retry with bounded backoff
         // (0.1 ms, 0.2 ms) before surfacing as a typed error.

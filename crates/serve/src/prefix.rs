@@ -88,16 +88,15 @@ const DEAD: f64 = f64::NEG_INFINITY;
 const COMPACT_MIN: usize = 64;
 
 /// A shard's points and the maintained traversal (see the module
-/// docs). Slots hold points in ascending id order; `dist`, `assign` and
-/// the chains are indexed by slot.
+/// docs). Slots hold points in ascending id order; `dist` and the
+/// chains are indexed by slot. A point's nearest center is the step of
+/// its chain's last link (step 0 for an empty chain).
 pub(crate) struct Prefix<P> {
     ids: Vec<u64>,
     points: Vec<P>,
     /// Distance to the nearest of the `m` centers; [`DEAD`] for a dead
     /// or pending slot, `∞` before the first step.
     dist: Vec<f64>,
-    /// Step of that nearest center, ties to the earliest.
-    assign: Vec<usize>,
     /// Slot `s`'s chain is `links[chain_at[s]..chain_at[s + 1]]`.
     chain_at: Vec<usize>,
     links: Vec<Link>,
@@ -138,7 +137,6 @@ pub(crate) struct Resumed {
     flip: Option<usize>,
     start: usize,
     dist: Vec<f64>,
-    assign: Vec<usize>,
     chain_at: Vec<usize>,
     links: Vec<Link>,
     centers: Vec<usize>,
@@ -166,7 +164,6 @@ impl<P> Prefix<P> {
             ids: Vec::new(),
             points: Vec::new(),
             dist: Vec::new(),
-            assign: Vec::new(),
             chain_at: vec![0],
             links: Vec::new(),
             live: 0,
@@ -209,7 +206,6 @@ impl<P> Prefix<P> {
         };
         Ok(Self {
             dist: vec![f64::INFINITY; n],
-            assign: vec![0; n],
             chain_at: vec![0; n + 1],
             links: Vec::new(),
             live: n,
@@ -279,11 +275,9 @@ impl<P> Prefix<P> {
         (target > self.steps()).then_some(target)
     }
 
-    /// Slot `s`'s nearest center among the first `steps` ones.
+    /// Slot `s`'s nearest center among the first `steps` ones, ties to
+    /// the earliest: the last link of its chain before `steps`.
     fn assignment(&self, slot: usize, steps: usize) -> usize {
-        if steps == self.steps() {
-            return self.assign[slot];
-        }
         let chain = self.chain(slot);
         let keep = chain.partition_point(|l| (l.step as usize) < steps);
         chain[..keep].last().map_or(0, |l| l.step as usize)
@@ -304,15 +298,10 @@ impl<P> Prefix<P> {
         self.stats.distance_evals += probe.evals;
         if probe.resumes() {
             self.dist.push(DEAD);
-            self.assign.push(usize::MAX);
             return (id, slot);
         }
-        let (dist, assign) = probe
-            .links
-            .last()
-            .map_or((f64::INFINITY, 0), |l| (l.dist, l.step as usize));
+        let dist = probe.links.last().map_or(f64::INFINITY, |l| l.dist);
         self.dist.push(dist);
-        self.assign.push(assign);
         self.live += 1;
         self.stats.inserts += 1;
         if self.start.is_none() {
@@ -339,7 +328,6 @@ impl<P> Prefix<P> {
             }
         }
         std::mem::swap(&mut self.dist, &mut r.dist);
-        std::mem::swap(&mut self.assign, &mut r.assign);
         std::mem::swap(&mut self.chain_at, &mut r.chain_at);
         std::mem::swap(&mut self.links, &mut r.links);
         std::mem::swap(&mut self.centers, &mut r.centers);
@@ -361,7 +349,6 @@ impl<P> Prefix<P> {
             Removal::Gone => {}
             Removal::Drop(slot) => {
                 self.dist[slot] = DEAD;
-                self.assign[slot] = usize::MAX;
                 self.live -= 1;
                 self.stats.deletes += 1;
                 if self.next == Some(slot) {
@@ -413,7 +400,6 @@ impl<P> Prefix<P> {
         retain_slots(&mut self.ids, &keep);
         retain_slots(&mut self.points, &keep);
         retain_slots(&mut self.dist, &keep);
-        retain_slots(&mut self.assign, &keep);
         self.start = self.start.map(|s| to[s]);
         self.next = self.next.map(|s| to[s]);
         for c in &mut self.centers {
@@ -517,6 +503,8 @@ impl<P: Sync> Prefix<P> {
         let _span = diversity_obs::span("serve.prefix.resume_ns");
         let slots = self.ids.len();
         let mut dist = Vec::with_capacity(slots);
+        // Each slot's nearest center, for `relax` to keep current: a
+        // fresh link is due where it becomes step `t`.
         let mut assign = Vec::with_capacity(slots);
         let mut kept = Vec::with_capacity(slots);
         for slot in 0..slots {
@@ -589,7 +577,6 @@ impl<P: Sync> Prefix<P> {
             flip,
             start,
             dist,
-            assign,
             chain_at,
             links,
             centers,
@@ -680,12 +667,7 @@ impl<P: Clone + Sync> Prefix<P> {
     /// Panics on the first disagreement.
     pub(crate) fn validate<M: Metric<P>>(&self, metric: &M) {
         let slots = self.ids.len();
-        for v in [
-            self.points.len(),
-            self.dist.len(),
-            self.assign.len(),
-            self.chain_at.len() - 1,
-        ] {
+        for v in [self.points.len(), self.dist.len(), self.chain_at.len() - 1] {
             assert_eq!(v, slots, "per-slot arrays disagree in length");
         }
         assert!(self.ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
@@ -718,7 +700,7 @@ impl<P: Clone + Sync> Prefix<P> {
         };
         for (i, &slot) in order.iter().enumerate() {
             assert_eq!(dists[i].to_bits(), self.dist[slot].to_bits(), "dist");
-            assert_eq!(assignment[i], self.assign[slot], "assignment");
+            assert_eq!(assignment[i], self.assignment(slot, m), "assignment");
             let mut chain = Vec::new();
             let mut r = f64::INFINITY;
             for (t, &c) in self.centers.iter().enumerate() {

@@ -6,9 +6,8 @@
 //! trait: `use diversity_serve::Serve;` and every `Task` gains
 //! [`serve`](Serve::serve) / [`serve_seeded`](Serve::serve_seeded).
 
-use crate::pool::ShardPool;
+use crate::pool::{PoolConfig, ShardPool};
 use diversity::{Budget, DivError, Task};
-use diversity_dynamic::DynamicConfig;
 use diversity_mapreduce::Partitions;
 use metric::Metric;
 
@@ -20,7 +19,7 @@ use metric::Metric;
 /// and queries read the maintained prefixes ([`ShardPool::query`]).
 pub trait Serve {
     /// An empty pool of `shards` shards, configured from this task's
-    /// budget: [`Budget::Eps`] seeds the pool's [`DynamicConfig`] with
+    /// budget: [`Budget::Eps`] seeds the pool's [`PoolConfig`] with
     /// the target `ε` and dimension (so `Auto` budgets agree with the
     /// task's accuracy intent); other budgets use the default.
     /// Feed traffic with [`ShardPool::insert`]/[`delete`](ShardPool::delete),
@@ -60,17 +59,13 @@ impl Serve for Task {
             return Err(DivError::InvalidShards);
         }
         let config = match self.budget_spec() {
-            Budget::Eps { eps, dim } => DynamicConfig {
-                epsilon: eps,
-                dim,
-                ..DynamicConfig::default()
-            },
-            _ => DynamicConfig::default(),
+            Budget::Eps { eps, dim } => PoolConfig { epsilon: eps, dim },
+            _ => PoolConfig::default(),
         };
         // Budget validation up front: a pool that can never answer its
         // own task (cap < k, eps out of range) is refused here, not at
         // the first query.
-        self.dynamic_k_prime(&config)?;
+        config.k_prime(self)?;
         Ok(ShardPool::with_config(metric, config, shards))
     }
 

@@ -115,7 +115,7 @@ fn chaos_churn_survives_and_stays_certified() {
     let k = 5;
     let task = Task::new(problem, k).budget(Budget::KPrime(8 * k));
     let mut pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4).expect("valid pool spec");
-    let k_prime = task.dynamic_k_prime(pool.config()).expect("valid budget");
+    let k_prime = pool.config().k_prime(&task).expect("valid budget");
     let alpha = problem.alpha();
 
     // Seed with points no writer ever deletes, so the pool can only

@@ -77,7 +77,7 @@ fn churn_stress(problem: Problem, k: usize) {
         delete_every: 3,
         queries_per_reader: 4,
     };
-    let k_prime = task.dynamic_k_prime(pool.config()).expect("valid budget");
+    let k_prime = pool.config().k_prime(&task).expect("valid budget");
     let alpha = problem.alpha();
 
     let mut round_survivors: Vec<Vec<diversity_serve::ShardedId>> = Vec::new();

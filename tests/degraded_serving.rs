@@ -79,7 +79,7 @@ proptest! {
         let k = 4;
         let task = Task::new(problem, k).budget(Budget::KPrime(16));
         let pool = seeded_pool(&task);
-        let k_prime = task.dynamic_k_prime(pool.config()).expect("valid budget");
+        let k_prime = pool.config().k_prime(&task).expect("valid budget");
 
         let skipped: Vec<usize> = (0..4).filter(|s| mask & (1 << s) != 0).collect();
         for &s in &skipped {

@@ -115,7 +115,7 @@ proptest! {
         // The merged certificate certifies the alive ground truth.
         let alive: Vec<VecPoint> = pool.alive().into_iter().map(|(_, p)| p).collect();
         prop_assert_eq!(alive.len(), placements.len());
-        let k_prime = task.dynamic_k_prime(pool.config()).expect("budget");
+        let k_prime = pool.config().k_prime(&task).expect("budget");
         prop_assert!(pool.coreset(problem, k, k_prime).certifies(&alive, &Euclidean, 1e-9));
 
         // Occupancies are within one point of each other: skew as

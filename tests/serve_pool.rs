@@ -6,7 +6,7 @@
 
 use diversity::mapreduce::{partition::split_round_robin, Partitions};
 use diversity::prelude::*;
-use diversity_serve::{PoolState, Serve, ShardPool, ShardedId};
+use diversity_serve::{PoolConfig, PoolState, Serve, ShardPool, ShardedId};
 
 fn points(n: usize) -> Vec<VecPoint> {
     (0..n)
@@ -124,13 +124,21 @@ fn serve_validates_upfront() {
     assert_eq!(err, DivError::BudgetTooSmall { k_prime: 2, k: 3 });
 
     // An Eps-budget task seeds the pool with its accuracy
-    // intent.
+    // intent, which a checkpoint keeps.
     let pool = Task::new(Problem::RemoteEdge, 3)
-        .budget(Budget::Eps { eps: 0.25, dim: 2 })
+        .budget(Budget::Eps { eps: 0.25, dim: 3 })
         .serve::<VecPoint, _>(Euclidean, 2)
         .unwrap();
-    assert_eq!(pool.config().epsilon, 0.25);
-    assert_eq!(pool.config().dim, 2);
+    assert_eq!(
+        *pool.config(),
+        PoolConfig {
+            epsilon: 0.25,
+            dim: 3
+        }
+    );
+    let restored: ShardPool<VecPoint, _> =
+        ShardPool::restore(Euclidean, pool.checkpoint().unwrap()).unwrap();
+    assert_eq!(restored.config(), pool.config());
 }
 
 /// The pool checkpoint round-trips over the wire and restores to a
