@@ -14,8 +14,8 @@
 //!   readers never block at all);
 //! * **skew before/after** and the number of live ids remapped;
 //! * **first warm query** skewed vs rebalanced — it grows every
-//!   shard's prefix, a cost bounded by the largest shard, which shrinks
-//!   with the rebalance.
+//!   shard's prefix, about `n·k'` relaxations in all, whichever way
+//!   the points are spread (the shards grow one after another).
 //!
 //! Appends a `"rebalance"` section to `BENCH_serve.json` at the
 //! workspace root (CI uploads it with the serve ablation's numbers).
