@@ -32,29 +32,24 @@
 //!
 //! ## Who owns a plan
 //!
-//! A plan belongs to what it perturbs. The serving pool takes one with
-//! `ShardPool::with_faults` and rolls its five sites
-//! ([`sites::SHARD_MUTATE`], [`sites::LOCK_HOLD`], [`sites::QUERY`],
-//! [`sites::RECOVERY`], [`sites::REBALANCE`]) on it through the
-//! [`FaultPlan`] methods; a pool without a plan rolls nothing, so pools
-//! in one process never see each other's faults. [`FaultPlan::disarm`]
-//! ends a chaos phase without rebuilding the pool.
-//!
-//! Only the MapReduce site ([`sites::MR_PARTITION`]) still reads a
-//! process-global plan: [`install`] one and [`should_drop`] consults it.
-//! With nothing installed that hook costs one relaxed atomic load.
+//! A plan belongs to what it perturbs; there is no process-global plan.
+//! The serving pool takes one with `ShardPool::with_faults` and rolls
+//! its five sites ([`sites::SHARD_MUTATE`], [`sites::LOCK_HOLD`],
+//! [`sites::QUERY`], [`sites::RECOVERY`], [`sites::REBALANCE`]) on it
+//! through the [`FaultPlan`] methods; the MapReduce runtime takes one
+//! with `MapReduceRuntime::with_faults` and rolls
+//! [`sites::MR_PARTITION`] on it. An owner without a plan rolls
+//! nothing, so owners in one process never see each other's faults.
+//! [`FaultPlan::disarm`] ends a chaos phase without rebuilding the
+//! owner.
 //!
 //! ```
-//! use diversity_faults as faults;
-//! use std::sync::Arc;
+//! use diversity_faults::{sites, FaultPlan, FaultSpec};
 //!
-//! let plan = Arc::new(faults::FaultPlan::from_spec(
-//!     faults::FaultSpec { drop: 1.0, ..faults::FaultSpec::from_seed(7) },
-//! ));
-//! faults::install(plan.clone());
-//! assert!(faults::should_drop(faults::sites::MR_PARTITION));
-//! faults::uninstall();
-//! assert!(!faults::should_drop(faults::sites::MR_PARTITION)); // inert again
+//! let plan = FaultPlan::from_spec(FaultSpec { drop: 1.0, ..FaultSpec::from_seed(7) });
+//! assert!(plan.should_drop(sites::MR_PARTITION));
+//! plan.disarm();
+//! assert!(!plan.should_drop(sites::MR_PARTITION)); // inert from here on
 //! assert_eq!(plan.log().len(), 1);
 //! ```
 //!
@@ -64,7 +59,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The named injection points threaded through the workspace. Each
@@ -270,9 +265,8 @@ fn decision(seed: u64, site: &str, seq: u64) -> f64 {
 
 /// A seeded fault plan: per-site visit counters, the spec's rates, and
 /// the ordered log of fired events. Hand one to what it perturbs (the
-/// serving pool's `with_faults`), which rolls its sites through the
-/// methods below; [`install`] one process-globally for
-/// [`sites::MR_PARTITION`].
+/// serving pool's or the MapReduce runtime's `with_faults`), which
+/// rolls its sites through the methods below.
 #[derive(Debug)]
 pub struct FaultPlan {
     spec: FaultSpec,
@@ -418,54 +412,9 @@ impl FaultPlan {
     }
 }
 
-/// Fast path: is any plan installed? One relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The installed plan. Only consulted after [`ENABLED`] reads true.
-static GLOBAL: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-
-/// Installs `plan` as the process-global source of
-/// [`sites::MR_PARTITION`] faults, replacing any previous one.
-pub fn install(plan: Arc<FaultPlan>) {
-    let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(plan);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the installed plan (the hook reverts to the one-atomic
-/// disabled path) and returns it, so a harness can audit its
-/// [`FaultPlan::log`].
-pub fn uninstall() -> Option<Arc<FaultPlan>> {
-    let mut slot = GLOBAL.write().unwrap_or_else(|e| e.into_inner());
-    ENABLED.store(false, Ordering::Release);
-    slot.take()
-}
-
-/// Whether a global plan is installed — the single relaxed atomic load
-/// the hook pays when disabled.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// [`sites::MR_PARTITION`]-style injection against the installed plan:
-/// `true` when this visit's output should be discarded (forcing the
-/// caller's retry path).
-#[inline]
-pub fn should_drop(site: &'static str) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let slot = GLOBAL.read().unwrap_or_else(|e| e.into_inner());
-    slot.as_deref().is_some_and(|p| p.should_drop(site))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Global-install tests share process state; serialize them.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn all_rates(seed: u64, rate: f64) -> FaultSpec {
         FaultSpec {
@@ -477,14 +426,6 @@ mod tests {
             drop: rate,
             transient: rate,
         }
-    }
-
-    #[test]
-    fn disabled_hook_is_inert() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
-        assert!(!should_drop(sites::MR_PARTITION));
-        assert!(!enabled());
     }
 
     #[test]
@@ -504,7 +445,6 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule_same_log() {
-        // No global install needed: drive two plans directly.
         let drive = |plan: &FaultPlan| {
             let mut fired = Vec::new();
             for _ in 0..500 {
@@ -590,17 +530,6 @@ mod tests {
                 "corruption must shorten {payload:?}"
             );
         }
-    }
-
-    #[test]
-    fn the_installed_plan_drives_the_mapreduce_hook() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let plan = Arc::new(FaultPlan::from_spec(all_rates(3, 1.0)));
-        install(plan.clone());
-        assert!(should_drop(sites::MR_PARTITION));
-        assert!(Arc::ptr_eq(&uninstall().expect("installed"), &plan));
-        assert!(!should_drop(sites::MR_PARTITION));
-        assert_eq!(plan.log().len(), 1);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The simulated MapReduce runtime: parallel rounds + accounting.
 
+use diversity_faults::FaultPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Execution statistics for one MapReduce round.
@@ -75,17 +77,18 @@ impl MrStats {
 /// `threads = p` and balanced partitions the wall-clock of a round
 /// matches a `p`-processor cluster up to constants — the basis of the
 /// Figure 5 scalability experiment.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct MapReduceRuntime {
     /// Maximum number of OS threads running reducers at once.
     pub threads: usize,
+    /// The plan [`sites::MR_PARTITION`](diversity_faults::sites::MR_PARTITION)
+    /// rolls on; a runtime without one drops nothing.
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl Default for MapReduceRuntime {
     fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        }
+        Self::with_threads(std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
 }
 
@@ -97,7 +100,18 @@ impl MapReduceRuntime {
     /// A runtime simulating `p` processors.
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread");
-        Self { threads }
+        Self {
+            threads,
+            faults: None,
+        }
+    }
+
+    /// This runtime with `plan` deciding which reducer outputs are
+    /// lost at [`sites::MR_PARTITION`](diversity_faults::sites::MR_PARTITION),
+    /// forcing the retry path of [`run_round`](Self::run_round).
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        self
     }
 
     /// Executes one round: applies `reducer(i, &inputs[i])` to every
@@ -113,7 +127,8 @@ impl MapReduceRuntime {
     /// ## Retry-with-reshuffle
     ///
     /// A partition whose reducer panics, or whose output is lost (the
-    /// [`diversity_faults::sites::MR_PARTITION`] injection point), is
+    /// [`diversity_faults::sites::MR_PARTITION`] injection point, rolled
+    /// on the plan given to [`with_faults`](Self::with_faults)), is
     /// **re-executed** on the next pass — the simulated form of a
     /// cluster rescheduling a failed task and reshuffling its input,
     /// which is sound here because reducers are pure functions of
@@ -165,7 +180,10 @@ impl MapReduceRuntime {
                     // An injected partition loss discards the output;
                     // the next pass re-runs the reducer.
                     Ok(out) => {
-                        if !diversity_faults::should_drop(diversity_faults::sites::MR_PARTITION) {
+                        let dropped = self.faults.as_ref().is_some_and(|plan| {
+                            plan.should_drop(diversity_faults::sites::MR_PARTITION)
+                        });
+                        if !dropped {
                             results.lock()[i] = Some((out, took));
                         }
                     }

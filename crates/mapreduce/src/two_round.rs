@@ -227,6 +227,37 @@ mod tests {
     }
 
     #[test]
+    fn dropped_partitions_are_retried_to_the_fault_free_answer() {
+        use diversity_faults::{FaultPlan, FaultSpec};
+        let xs: Vec<f64> = (0..400).map(|i| ((i * 53) % 307) as f64).collect();
+        let parts = split_round_robin(line(&xs), 8);
+        let clean = two_round(Problem::RemoteClique, &parts, &Euclidean, 4, 12, &rt());
+        // Drops are a pure function of (seed, visit count): under seed 4
+        // every partition gets through within `MAX_ATTEMPTS` passes, after
+        // 7 retries across the two rounds.
+        let plan = std::sync::Arc::new(FaultPlan::from_spec(FaultSpec {
+            drop: 0.5,
+            ..FaultSpec::from_seed(4)
+        }));
+        let runtime = rt().with_faults(plan.clone());
+        let faulty = two_round(Problem::RemoteClique, &parts, &Euclidean, 4, 12, &runtime);
+        assert_eq!(
+            faulty.stats.rounds.iter().map(|r| r.retries).sum::<usize>(),
+            7
+        );
+        assert!(!plan.log().is_empty());
+        assert_eq!(
+            faulty.solution.value.to_bits(),
+            clean.solution.value.to_bits()
+        );
+        assert_eq!(faulty.solution.indices, clean.solution.indices);
+        assert_eq!(
+            faulty.coreset_radius.to_bits(),
+            clean.coreset_radius.to_bits()
+        );
+    }
+
+    #[test]
     fn memory_accounting_reflects_partition_sizes() {
         let points = line(&(0..90).map(|i| i as f64).collect::<Vec<_>>());
         let parts = split_round_robin(points, 3);

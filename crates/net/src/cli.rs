@@ -107,13 +107,14 @@ pub fn serve_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     let _ = std::io::stdout().flush();
     let stats = server.join();
     eprintln!(
-        "served: accepted={} queries={} mutates={} coalesced={} rejected={} protocol_errors={}",
+        "served: accepted={} queries={} mutates={} coalesced={} rejected={} protocol_errors={} panics={}",
         stats.accepted,
         stats.queries,
         stats.mutates,
         stats.coalesced,
         stats.rejected,
-        stats.protocol_errors
+        stats.protocol_errors,
+        stats.panics
     );
     Ok(())
 }

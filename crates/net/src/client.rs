@@ -57,7 +57,9 @@ impl From<diversity::wire::WireError> for NetError {
 /// A connected client. `P` is the point type the server was started
 /// with; a mismatch surfaces as a codec error, not undefined behavior.
 pub struct NetClient<P> {
-    stream: TcpStream,
+    /// The one reader of this connection, built at connect: requests
+    /// are written on the stream it owns, and its buffer is reused.
+    reader: FrameReader<TcpStream>,
     _point: PhantomData<fn() -> P>,
 }
 
@@ -70,7 +72,7 @@ impl<P: BinRead + BinWrite> NetClient<P> {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
         Ok(NetClient {
-            stream,
+            reader: FrameReader::new(stream),
             _point: PhantomData,
         })
     }
@@ -78,15 +80,10 @@ impl<P: BinRead + BinWrite> NetClient<P> {
     /// One request/response exchange. Returns the response opcode,
     /// status, and body bytes.
     fn exchange(&mut self, opcode: Opcode, payload: &[u8]) -> Result<(Status, Vec<u8>), NetError> {
-        write_frame(&mut self.stream, opcode, payload)
+        write_frame(&mut self.reader.get_ref(), opcode, payload)
             .map_err(|e| NetError::Proto(ProtoError::Io(e.to_string())))?;
-        let read_half = self
-            .stream
-            .try_clone()
-            .map_err(|e| NetError::Proto(ProtoError::Io(e.to_string())))?;
-        let mut reader = FrameReader::new(read_half);
         loop {
-            match reader.poll_frame()? {
+            match self.reader.poll_frame()? {
                 ReadOutcome::Frame(frame) => {
                     let (status, body) = split_response(&frame.payload)?;
                     return Ok((status, body.to_vec()));

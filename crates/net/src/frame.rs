@@ -17,7 +17,7 @@
 //! trust boundary of the server.
 
 use diversity::wire::WireError;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// The two magic bytes every frame starts with.
 pub const MAGIC: [u8; 2] = *b"DM";
@@ -141,16 +141,29 @@ impl From<WireError> for ProtoError {
     }
 }
 
-/// Writes one frame.
+/// Writes one frame. Header and payload go to `w` as one vectored
+/// write (one `writev` on a socket, so one segment under `TCP_NODELAY`
+/// for a small frame), continued after short writes; the payload is
+/// never copied.
 pub fn write_frame(w: &mut impl Write, opcode: Opcode, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= u32::MAX as usize);
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidInput, "frame payload over u32::MAX bytes")
+    })?;
     let mut header = [0u8; HEADER_LEN];
     header[..2].copy_from_slice(&MAGIC);
     header[2] = VERSION;
     header[3] = opcode as u8;
-    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    header[4..].copy_from_slice(&len.to_le_bytes());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -190,6 +203,12 @@ impl<R: Read> FrameReader<R> {
             buf: Vec::new(),
             max_frame_len,
         }
+    }
+
+    /// The stream this reader reads from, e.g. to write requests on the
+    /// same socket.
+    pub fn get_ref(&self) -> &R {
+        &self.inner
     }
 
     /// Attempts to read one frame, consuming as many stream bytes as
@@ -333,6 +352,79 @@ mod tests {
                 len: u32::MAX,
                 max: DEFAULT_MAX_FRAME_LEN
             }
+        );
+    }
+
+    /// A writer that takes at most `max` bytes per call, across all
+    /// slices of a vectored call, and counts its calls: on a socket each
+    /// call is one `write`/`writev`.
+    struct Chunked {
+        out: Vec<u8>,
+        max: usize,
+        calls: usize,
+    }
+
+    impl Chunked {
+        fn new(max: usize) -> Self {
+            Chunked {
+                out: Vec::new(),
+                max,
+                calls: 0,
+            }
+        }
+    }
+
+    impl Write for Chunked {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max - taken);
+                self.out.extend_from_slice(&buf[..n]);
+                taken += n;
+                if taken == self.max {
+                    break;
+                }
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn read_one(bytes: &[u8]) -> Frame {
+        match FrameReader::new(bytes).poll_frame().unwrap() {
+            ReadOutcome::Frame(f) => f,
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write() {
+        let mut w = Chunked::new(usize::MAX);
+        write_frame(&mut w, Opcode::Query, b"payload").unwrap();
+        assert_eq!(w.calls, 1, "header and payload go out together");
+        let f = read_one(&w.out);
+        assert_eq!((f.opcode, &f.payload[..]), (Opcode::Query, &b"payload"[..]));
+    }
+
+    #[test]
+    fn short_writes_still_produce_the_whole_frame() {
+        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut w = Chunked::new(1000);
+        write_frame(&mut w, Opcode::Checkpoint, &payload).unwrap();
+        assert_eq!(w.calls, (HEADER_LEN + payload.len()).div_ceil(1000));
+        let f = read_one(&w.out);
+        assert_eq!(f.opcode, Opcode::Checkpoint);
+        assert!(
+            f.payload == payload,
+            "the payload round-trips byte for byte"
         );
     }
 

@@ -21,8 +21,16 @@
 //!   bounded-in-flight **admission control** (typed `Overloaded`
 //!   rejections, not dropped connections) and **query coalescing**
 //!   (identical queries against a quiescent pool — witnessed by the
-//!   pool's mutation epoch — share one extraction).
-//! * [`client`] — [`NetClient`]: a blocking typed client.
+//!   pool's mutation epoch — share one extraction). Each worker blocks
+//!   in `accept()` and serves its connection inline until it closes,
+//!   so a persistent connection holds its worker; the kernel's listen
+//!   backlog bounds the connections waiting for one, and shutdown
+//!   wakes the blocked workers with one connection each. A panicking
+//!   handler costs its connection (an `Err` frame, `net.panics`), not
+//!   its worker.
+//! * [`client`] — [`NetClient`]: a blocking typed client that keeps
+//!   one frame reader for the life of its connection. Every frame, in
+//!   either direction, goes to the kernel as one vectored write.
 //! * [`loadgen`] — the load-generator harness behind `divmax-loadgen`:
 //!   exact p50/p99 latencies and QPS from merged per-connection
 //!   samples.

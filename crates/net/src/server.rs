@@ -4,12 +4,26 @@
 //!
 //! ## Concurrency model
 //!
-//! `workers` OS threads each run an accept loop on one shared
-//! non-blocking listener and handle accepted connections **inline** —
-//! connection concurrency equals the worker count, there is no hidden
-//! thread-per-connection growth. Each connection is a sequence of
-//! request frames answered in order; responses echo the request's
-//! opcode.
+//! `workers` OS threads each block in `accept()` on one shared
+//! listener and serve the connection they accept **inline** until it
+//! closes — connection concurrency equals the worker count, there is
+//! no hidden thread-per-connection growth. A new connection is taken
+//! as soon as a worker is free; the kernel's listen backlog bounds the
+//! connections waiting for one. A persistent connection therefore
+//! holds its worker until it closes (or, idle, until shutdown). Each
+//! connection is a sequence of request frames answered in order;
+//! responses echo the request's opcode.
+//!
+//! Shutdown (local, or the Shutdown opcode) sets a flag, then connects
+//! to the listener once per worker: a worker blocked in `accept()`
+//! wakes, sees the flag and exits, and a worker serving a connection
+//! sees it within one 50-ms read-timeout poll. Wake connections nobody
+//! accepts close with the listener.
+//!
+//! A handler that panics costs its connection, not its worker: each
+//! connection runs under `catch_unwind`, and a panic is answered with
+//! an [`Opcode::Err`] frame naming it (status `ProtocolError`), counted
+//! as `net.panics`, and the worker returns to `accept()`.
 //!
 //! ## Admission control
 //!
@@ -35,9 +49,11 @@ use diversity::wire::{from_bytes, BinRead, BinWrite};
 use diversity::Task;
 use diversity_serve::{ShardPool, ShardedId};
 use metric::Metric;
+use std::any::Any;
 use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -45,14 +61,24 @@ use std::time::Duration;
 
 /// The `net.*` counters the server registers at start so a
 /// `divmax-stats --assert-keys` probe sees them even before traffic.
-pub const OBS_KEYS: [&str; 6] = [
+pub const OBS_KEYS: [&str; 7] = [
     "net.accepted",
     "net.queries",
     "net.mutates",
     "net.coalesced",
     "net.rejected",
     "net.protocol_errors",
+    "net.panics",
 ];
+
+/// How long a shutdown's wake connection may take to connect. On
+/// loopback it completes at once unless the backlog is full, and then
+/// the pending connections wake the workers instead.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Pause after an `accept()` error such as EMFILE, so a persistent one
+/// cannot spin a worker.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Server configuration. `Default` binds an ephemeral localhost port
 /// with one worker per available core.
@@ -104,6 +130,8 @@ pub struct ServerStats {
     pub rejected: u64,
     /// Frames or payloads that failed protocol validation.
     pub protocol_errors: u64,
+    /// Connections closed because their handler panicked.
+    pub panics: u64,
 }
 
 #[derive(Default)]
@@ -114,6 +142,7 @@ struct NetCounters {
     coalesced: AtomicU64,
     rejected: AtomicU64,
     protocol_errors: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl NetCounters {
@@ -130,6 +159,7 @@ impl NetCounters {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -231,6 +261,12 @@ struct Inner<P, M> {
     coalescer: Coalescer,
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
+    /// Where shutdown connects to wake the workers blocked in
+    /// `accept()`: the bound address, on loopback if that is
+    /// unspecified.
+    wake_addr: SocketAddr,
+    /// Worker threads, one wake connection each.
+    workers: usize,
     /// `DIVMAX_REBALANCE` policy, read once at start. When set, every
     /// successful mutate polls [`ShardPool::maybe_rebalance`] — the
     /// threshold + pacing gates inside keep the poll cheap, and a
@@ -260,8 +296,14 @@ where
             diversity_obs::count(key, 0);
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map_or(4, |n| n.get())
         } else {
@@ -274,6 +316,8 @@ where
             coalescer: Coalescer::new(),
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            wake_addr,
+            workers,
             rebalance: diversity_serve::RebalanceConfig::from_env(),
         });
         let listener = Arc::new(listener);
@@ -317,7 +361,7 @@ where
     /// Requests shutdown and joins every worker; returns the final
     /// counters.
     pub fn shutdown_and_join(mut self) -> ServerStats {
-        self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.shut_down();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -335,45 +379,86 @@ where
     }
 }
 
+impl<P, M> Inner<P, M> {
+    /// Sets the shutdown flag, then connects once per worker so that
+    /// every worker blocked in `accept()` wakes and sees it.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_CONNECT_TIMEOUT);
+        }
+    }
+}
+
 fn accept_loop<P, M>(inner: &Inner<P, M>, listener: &TcpListener)
 where
     P: Clone + Send + Sync + BinRead + BinWrite,
     M: Metric<P> + Clone,
 {
-    loop {
+    while !inner.shutdown.load(Ordering::Acquire) {
+        let accepted = listener.accept();
+        // A shutdown's wake connection, or a client too late to serve.
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 inner
                     .counters
                     .bump(&inner.counters.accepted, "net.accepted");
-                handle_connection(inner, stream);
+                serve_connection(inner, stream);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
 
-fn handle_connection<P, M>(inner: &Inner<P, M>, stream: TcpStream)
+/// Serves one connection under `catch_unwind`, so a panicking handler
+/// costs this connection and not the worker. Unwinding is safe to
+/// stop here: the connection's own state dies with it, and the shared
+/// state is atomics, the poison-tolerant coalescer (whose leaders
+/// publish before they unwind), a drop-guarded admission slot and the
+/// pool, which isolates its own shard panics.
+fn serve_connection<P, M>(inner: &Inner<P, M>, stream: TcpStream)
+where
+    P: Clone + Send + Sync + BinRead + BinWrite,
+    M: Metric<P> + Clone,
+{
+    let served = catch_unwind(AssertUnwindSafe(|| handle_connection(inner, &stream)));
+    if let Err(panic) = served {
+        inner.counters.bump(&inner.counters.panics, "net.panics");
+        let _ = write_frame(&mut &stream, Opcode::Err, &panic_body(&*panic));
+    }
+}
+
+/// The response naming a handler's panic.
+fn panic_body(panic: &(dyn Any + Send)) -> Vec<u8> {
+    let message = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    encode_response(
+        Status::ProtocolError,
+        &format!("request handler panicked: {message}"),
+    )
+}
+
+fn handle_connection<P, M>(inner: &Inner<P, M>, stream: &TcpStream)
 where
     P: Clone + Send + Sync + BinRead + BinWrite,
     M: Metric<P> + Clone,
 {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
     // Short read timeout: the poll point where an idle connection
     // notices a pending shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut write_half = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut out = stream;
     let mut reader = FrameReader::with_max_len(stream, inner.config.max_frame_len);
     loop {
         match reader.poll_frame() {
@@ -384,7 +469,7 @@ where
             }
             Ok(ReadOutcome::Closed) => return,
             Ok(ReadOutcome::Frame(frame)) => {
-                let keep_going = handle_frame(inner, &mut write_half, frame.opcode, &frame.payload);
+                let keep_going = handle_frame(inner, &mut out, frame.opcode, &frame.payload);
                 if !keep_going {
                     return;
                 }
@@ -396,7 +481,7 @@ where
                     .counters
                     .bump(&inner.counters.protocol_errors, "net.protocol_errors");
                 let body = encode_response(Status::ProtocolError, &err.to_string());
-                let _ = write_frame(&mut write_half, Opcode::Err, &body);
+                let _ = write_frame(&mut out, Opcode::Err, &body);
                 return;
             }
         }
@@ -407,7 +492,7 @@ where
 /// should close (after a Shutdown request).
 fn handle_frame<P, M>(
     inner: &Inner<P, M>,
-    write_half: &mut TcpStream,
+    out: &mut impl Write,
     opcode: Opcode,
     payload: &[u8],
 ) -> bool
@@ -417,17 +502,17 @@ where
 {
     if inner.shutdown.load(Ordering::Acquire) && opcode != Opcode::Shutdown {
         let body = encode_response(Status::ShuttingDown, &"server draining".to_string());
-        let _ = write_frame(write_half, opcode, &body);
+        let _ = write_frame(out, opcode, &body);
         return false;
     }
     match opcode {
         Opcode::Stats => {
             let body = stats_body(inner);
-            write_frame(write_half, opcode, &body).is_ok()
+            write_frame(out, opcode, &body).is_ok()
         }
         Opcode::Shutdown => {
-            inner.shutdown.store(true, Ordering::Release);
-            let _ = write_frame(write_half, opcode, &[Status::Ok as u8]);
+            inner.shut_down();
+            let _ = write_frame(out, opcode, &[Status::Ok as u8]);
             false
         }
         Opcode::Query | Opcode::Mutate | Opcode::Checkpoint => {
@@ -446,7 +531,7 @@ where
                         inner.config.max_inflight
                     ),
                 );
-                return write_frame(write_half, opcode, &body).is_ok();
+                return write_frame(out, opcode, &body).is_ok();
             }
             let body = match opcode {
                 Opcode::Query => answer_query(inner, payload),
@@ -454,7 +539,7 @@ where
                 _ => answer_checkpoint(inner, payload),
             };
             drop(slot);
-            write_frame(write_half, opcode, &body).is_ok()
+            write_frame(out, opcode, &body).is_ok()
         }
         Opcode::Err => {
             // Err is a response-only opcode; receiving it is a
@@ -466,7 +551,7 @@ where
                 Status::ProtocolError,
                 &"Err is a response-only opcode".to_string(),
             );
-            let _ = write_frame(write_half, Opcode::Err, &body);
+            let _ = write_frame(out, Opcode::Err, &body);
             false
         }
     }
@@ -494,7 +579,19 @@ where
             if inner.config.coalesce_hold_ms > 0 {
                 std::thread::sleep(Duration::from_millis(inner.config.coalesce_hold_ms));
             }
-            let (status, body) = run_query(inner, payload);
+            let (status, body) = match catch_unwind(AssertUnwindSafe(|| run_query(inner, payload)))
+            {
+                Ok(answer) => answer,
+                Err(panic) => {
+                    // Answer the followers before this connection
+                    // unwinds: nobody else will publish for them.
+                    let body = Arc::new(panic_body(&*panic));
+                    inner
+                        .coalescer
+                        .publish(payload, &inflight, Status::ProtocolError, body);
+                    resume_unwind(panic);
+                }
+            };
             let shared = Arc::new(body);
             inner
                 .coalescer

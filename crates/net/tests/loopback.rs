@@ -3,13 +3,30 @@
 //! protocol-error paths.
 
 use diversity::prelude::*;
+use diversity::wire::{BinRead, BinReader, BinWrite, WireError};
 use diversity_net::{
     frame, NetClient, NetError, Opcode, ReadOutcome, Server, ServerConfig, Status,
 };
 use diversity_serve::ShardPool;
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
+
+/// Runs `f` on its own thread and fails the test if it has not
+/// returned within 20 s, so a server that never answers or never stops
+/// fails instead of hanging the suite.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not return within 20 s"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
 
 fn seeded_server(config: ServerConfig) -> Server<VecPoint, Euclidean> {
     let (points, _) = datasets::sphere_shell(200, 8, 4, 42);
@@ -305,4 +322,177 @@ fn shutdown_opcode_drains_the_server() {
     // stops the workers.
     let stats = server.join();
     assert!(stats.accepted >= 1);
+}
+
+#[test]
+fn servers_on_an_unspecified_address_stop_with_idle_workers() {
+    let unspecified = || ServerConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 4,
+        ..ServerConfig::default()
+    };
+    // Every worker is blocked in accept(): shutdown must wake them all.
+    let server = seeded_server(unspecified());
+    let stats = within("shutdown_and_join", move || server.shutdown_and_join());
+    assert_eq!(stats.accepted, 0, "wake connections are not counted");
+
+    let server = seeded_server(unspecified());
+    let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, server.addr().port()));
+    NetClient::<VecPoint>::connect(loopback)
+        .expect("connect")
+        .shutdown_server()
+        .expect("shutdown");
+    let stats = within("join after a Shutdown request", move || server.join());
+    assert_eq!(stats.accepted, 1);
+}
+
+#[test]
+fn one_client_completes_a_thousand_mixed_exchanges_on_one_connection() {
+    let server = seeded_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let before = server.pool().len();
+    let mut client = NetClient::<VecPoint>::connect(server.addr()).expect("connect");
+    let mut id = None;
+    for i in 0..1000 {
+        match i % 4 {
+            0 => {
+                let point = VecPoint::new(vec![i as f64 * 1e-3, 0.5, -0.5, 1.0]);
+                id = Some(client.insert(&point).expect("insert"));
+            }
+            1 => assert_eq!(client.query(&edge_task()).expect("query").len(), 4),
+            2 => assert!(client.delete(id.take().expect("inserted")).expect("delete")),
+            _ => assert_eq!(client.stats().expect("stats").accepted, 1),
+        }
+    }
+    assert_eq!(server.pool().len(), before);
+    let stats = server.shutdown_and_join();
+    assert_eq!(
+        (stats.accepted, stats.queries, stats.mutates),
+        (1, 250, 500)
+    );
+}
+
+/// A point whose codec panics on the sentinel first coordinate
+/// [`TRIPWIRE`]: decoding it panics inside a Mutate handler, encoding
+/// it inside a Query answer. Clients send it as a plain `VecPoint`,
+/// which has the same encoding.
+#[derive(Clone, Debug)]
+struct Tripwire(VecPoint);
+
+const TRIPWIRE: f64 = 1.0e6;
+
+impl Tripwire {
+    fn check(&self, what: &str) {
+        assert!(self.0.coords()[0] != TRIPWIRE, "tripwire point {what}");
+    }
+}
+
+impl BinWrite for Tripwire {
+    fn write_bin(&self, out: &mut Vec<u8>) {
+        self.check("encoded");
+        self.0.write_bin(out);
+    }
+}
+
+impl BinRead for Tripwire {
+    fn read_bin(r: &mut BinReader<'_>) -> Result<Self, WireError> {
+        let point = Tripwire(VecPoint::read_bin(r)?);
+        point.check("decoded");
+        Ok(point)
+    }
+}
+
+#[derive(Clone)]
+struct TripwireMetric;
+
+impl Metric<Tripwire> for TripwireMetric {
+    fn distance(&self, a: &Tripwire, b: &Tripwire) -> f64 {
+        Euclidean.distance(&a.0, &b.0)
+    }
+}
+
+fn tripwire_server(
+    extra: Option<VecPoint>,
+    config: ServerConfig,
+) -> Server<Tripwire, TripwireMetric> {
+    let (points, _) = datasets::sphere_shell(200, 8, 4, 42);
+    let pool = ShardPool::new(TripwireMetric, 4);
+    pool.extend(points.into_iter().chain(extra).map(Tripwire))
+        .expect("seeding the pool");
+    Server::start(pool, config).expect("binding an ephemeral port")
+}
+
+fn expect_panic_reply<T: std::fmt::Debug>(result: Result<T, NetError>) {
+    match result {
+        Err(NetError::Server {
+            status: Status::ProtocolError,
+            message,
+            ..
+        }) => assert!(message.contains("panicked"), "{message}"),
+        // The stream may also close before the Err frame arrives.
+        Err(NetError::Proto(_)) => {}
+        other => panic!("expected the handler's panic, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_panicking_handler_costs_its_connection_not_the_worker() {
+    let server = tripwire_server(
+        None,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    let mut doomed = NetClient::<VecPoint>::connect(addr).expect("connect");
+    expect_panic_reply(doomed.insert(&VecPoint::new(vec![TRIPWIRE, 0.0, 0.0, 0.0])));
+
+    // The only worker must still be there for a new connection.
+    within("a new connection's Stats and Query", move || {
+        let mut client = NetClient::<VecPoint>::connect(addr).expect("connect");
+        assert_eq!(
+            client
+                .stats()
+                .expect("stats")
+                .occupancies
+                .iter()
+                .sum::<u64>(),
+            200
+        );
+        assert_eq!(client.query(&edge_task()).expect("query").len(), 4);
+    });
+    let stats = server.shutdown_and_join();
+    assert_eq!((stats.panics, stats.accepted), (1, 2));
+}
+
+#[test]
+fn a_panicking_coalesced_leader_still_answers_its_followers() {
+    // A far-away tripwire point is in every remote-edge answer, so
+    // encoding the answer panics in the leader.
+    let server = tripwire_server(
+        Some(VecPoint::new(vec![TRIPWIRE, 0.0, 0.0, 0.0])),
+        ServerConfig {
+            workers: 2,
+            coalesce_hold_ms: 150,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    within("both coalesced queries", move || {
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(move || {
+                    let mut client = NetClient::<VecPoint>::connect(addr).expect("connect");
+                    expect_panic_reply(client.query(&edge_task()));
+                });
+            }
+        })
+    });
+    let mut client = NetClient::<VecPoint>::connect(addr).expect("connect");
+    client.stats().expect("stats after the panic");
+    let stats = server.shutdown_and_join();
+    assert_eq!((stats.panics, stats.coalesced), (1, 1));
 }
