@@ -236,14 +236,18 @@ fn multiset_gmm(dm: &DistanceMatrix, caps: &[usize], k: usize) -> Vec<usize> {
 
 /// Greedy farthest-pair matching with capacities over the expansion.
 /// A base is available while it has remaining capacity, so a pair whose
-/// two ends both keep capacity stays the best of its row and is taken
-/// again without a rescan.
+/// two ends both keep capacity stays first on its row's list and is
+/// taken again without a sweep.
 fn multiset_matching(dm: &DistanceMatrix, caps: &[usize], k: usize) -> Vec<usize> {
     let s = dm.len();
     let mut counts = vec![0usize; s];
     let mut remaining: Vec<usize> = caps.to_vec();
     let mut total = 0usize;
-    let mut pairs = FarthestPairs::new(s, |u, v| dm.get(u, v));
+    let mut pairs = FarthestPairs::new(s, |u, out: &mut [f64]| {
+        for (o, v) in out.iter_mut().zip(u + 1..) {
+            *o = dm.get(u, v);
+        }
+    });
 
     while total + 2 <= k {
         // Farthest pair of distinct bases with remaining capacity.
@@ -617,6 +621,35 @@ mod tests {
         let t = gcs(&[(0, 2), (1, 2), (2, 2)]);
         let sol = solve_multiset(Problem::RemoteClique, &pts, &Euclidean, &t, 3);
         assert_eq!(sol.expanded_size(), 3);
+    }
+
+    /// The capacity-aware matching on one fixture, pinned: 80 bases
+    /// (every fifth point of a sphere shell) with multiplicities 1 to 4,
+    /// and `k` large enough that pairs are taken again, most bases run
+    /// out of capacity and rows exhaust their partner lists.
+    #[test]
+    fn solve_multiset_matching_is_pinned_on_a_sphere_shell() {
+        let (points, _) = diversity_datasets::sphere_shell(400, 8, 3, 23);
+        let t = GeneralizedCoreset::new(
+            (0..points.len())
+                .step_by(5)
+                .map(|index| GenPair {
+                    index,
+                    multiplicity: 1 + index % 4,
+                })
+                .collect(),
+        );
+        let sol = solve_multiset(Problem::RemoteClique, &points, &Euclidean, &t, 151);
+        let mut taken = vec![0; t.size()];
+        for p in sol.pairs() {
+            taken[p.index / 5] = p.multiplicity;
+        }
+        let pinned = [
+            1, 2, 1, 4, 1, 2, 3, 0, 1, 0, 3, 4, 1, 2, 3, 4, 1, 1, 3, 4, 1, 0, 1, 4, 1, 2, 3, 4, 1,
+            2, 3, 4, 1, 2, 0, 4, 1, 0, 3, 2, 0, 0, 3, 0, 1, 2, 3, 0, 1, 0, 3, 0, 1, 2, 3, 4, 1, 2,
+            3, 4, 1, 0, 3, 4, 1, 2, 0, 0, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 0, 4,
+        ];
+        assert_eq!(taken, pinned);
     }
 
     #[test]

@@ -18,50 +18,68 @@
 //! distance to the nearest selected center and scan for the maximum.
 //! Two layers make that hot loop run at hardware speed:
 //!
-//! * the relax step goes through the [`Metric::relax`] batch hook, so
-//!   coordinate metrics use their vectorized, root-eliding kernels;
+//! * the relax step goes through a vectorized, root-eliding batch
+//!   kernel: the metric's [`Metric::relax`] hook, or the flat Euclidean
+//!   kernel on flat rows (below);
 //! * above [`metric::par::PAR_MIN_WORK`] points the relax+argmax pass
-//!   is chunked across scoped threads ([`gmm_plain`]), with the
-//!   per-chunk argmaxes combined in chunk order so the result is
-//!   **bit-identical** to the sequential traversal — same selection
-//!   order, same tie-breaks, same assignments, same distances
-//!   (enforced by `tests/parallel_gmm.rs`).
+//!   is chunked across scoped threads, with the per-chunk argmaxes
+//!   combined in chunk order so the result is **bit-identical** to the
+//!   sequential traversal — same selection order, same tie-breaks, same
+//!   assignments, same distances (enforced by `tests/parallel_gmm.rs`).
+//!
+//! # Flat rows
+//!
+//! A large input of `Euclidean` `VecPoint`s sits in as many heap
+//! allocations as points, and a MapReduce split scatters them over the
+//! heap of the whole input, while GMM reads every point `k` times. So
+//! one gate in [`gmm_with_threads`], which [`gmm`], the core-set
+//! builders, the sequential pipeline and every MapReduce reducer reach,
+//! first asks the metric for the points' coordinates as one row-major
+//! buffer ([`Metric::euclidean_rows`]) when
+//!
+//! * `n ≥ 16,384` points, and
+//! * the dimension is at most 4, the widest of the flat kernels'
+//!   fixed-width cases. Only `Euclidean` on `VecPoint` answers, and only
+//!   when every point has that dimension and finite coordinates.
+//!
+//! With rows in hand GMM takes the **block path** (below) at dimension
+//! `≤ 3` with `min(k, n) ≥ 128` centers, and otherwise the plain loop on
+//! the rows in input order, through [`metric::euclidean_relax_flat`]
+//! ("the flat plain loop"). Everything else keeps the plain loop over
+//! the points: other metrics and point types (`DenseRow`s keep their
+//! own contiguity scan), higher dimensions, and the serving path's
+//! small unions. The hook vouches that the flat kernel's distances are
+//! the metric's, bit for bit, so every path returns the same outcome.
+//! The block path runs single-threaded whatever thread count it is
+//! handed: inside MapReduce reducers the runtime's threads already fill
+//! the host.
 //!
 //! # The block path
 //!
 //! At low dimension and large `k` most of those `n·k` pairs cannot
 //! change anything: a point far from the new center keeps its
-//! distance. The block path evaluates only the pairs that can. One gate
-//! in [`gmm_with_threads`], which [`gmm`], the core-set builders, the
-//! sequential pipeline and every MapReduce reducer reach, decides from
-//! the input alone whether it runs:
+//! distance. The block path evaluates only the pairs that can.
 //!
-//! * `n ≥ 16,384` points and `min(k, n) ≥ 128` centers, and
-//! * the metric hands over a locality-ordered copy
-//!   ([`Metric::locality_copy`]) of points of dimension `≤ 3`. Only
-//!   `Euclidean` on `VecPoint` does, and only for finite coordinates.
-//!
-//! Everything else keeps the plain loop: other metrics and point
-//! types, higher dimensions, small `k` (the remote-clique job's
-//! `k' = 32`) and the serving path's small unions. The block path runs
-//! single-threaded whatever thread count it is handed: inside MapReduce
-//! reducers the runtime's threads already fill the host.
-//!
-//! **The traversal.** The copy is sorted along a Morton curve and cut
-//! into runs of 64 consecutive points. Each run has a pivot (its middle
-//! member), a radius `r` (the largest computed distance from the pivot
-//! to a member) and a maximum `m` (the largest current distance of a
-//! member to the selected centers). For each new center `c` a run is
-//! skipped when, in computed distances and evaluated left to right,
+//! **The traversal.** A copy of the rows is sorted along a Morton curve
+//! ([`metric::morton_sort`]) and cut into runs of 64 consecutive rows.
+//! Each run has a pivot (its middle member, whose coordinates are also
+//! kept in one buffer with the other pivots'), a radius `r` (the largest
+//! computed distance from the pivot to a member) and a maximum `m` (the
+//! largest current distance of a member to the selected centers). For
+//! each new center `c` one sweep over the pivot buffer
+//! ([`metric::euclidean_many_flat`]) yields every `d(c, pivot)`, and a
+//! run is skipped when, in computed distances and evaluated left to
+//! right,
 //!
 //! ```text
 //! d(c, pivot) − r − m  >  1e-9 · (d(c, pivot) + r + m) + 1e-150
 //! ```
 //!
-//! and every other run relaxes through [`Metric::relax`]. The next
-//! center is a point at the largest `m` with the smallest *input*
-//! index, the plain loop's first-maximum rule; only runs whose `m` is
-//! the largest are scanned for it.
+//! and every other run relaxes its slice of the rows through
+//! [`metric::euclidean_relax_flat`]. The next center is a point at the
+//! largest `m` with the smallest *input* index, the plain loop's
+//! first-maximum rule; only runs whose `m` is the largest are scanned
+//! for it.
 //!
 //! **Why the outcome is bit-identical to the plain loop** (enforced by
 //! the workspace test `tests/block_gmm.rs`, which calls [`gmm_plain`]
@@ -85,27 +103,38 @@
 //!
 //! **The record behind the gate.** One 125,215-point part of the
 //! `batch-mr` benchmark's input (`sphere_shell(1_000_000, 32, d, 7)`
-//! split by `split_random(.., 8, 7)`, copied), one thread, medians of 5
-//! alternating runs on a shared 2-vCPU Intel Xeon (AVX2) host. The
-//! block path's time includes its sort and copy. Each cell is its
-//! speed-up over the plain loop, then the share of the `n·k` pairs it
-//! relaxed:
+//! split by `split_random(.., 8, 7)`, as a reducer receives it), one
+//! thread, medians of 10 runs in two interleaved rounds on a shared
+//! 2-vCPU Intel Xeon (AVX2) host. Both paths' times include gathering
+//! the rows from the part, and the block path's its sort. Each cell is
+//! the block path's speed-up over the flat plain loop, then the share of
+//! the `n·k` pairs it relaxed:
 //!
 //! | d | k = 32 | k = 64 | k = 128 | k = 256 |
 //! |---|---|---|---|---|
-//! | 2 | 0.75× · 14.0 % | 1.29× · 9.3 % | 2.10× · 6.3 % | 3.40× · 4.4 % |
-//! | 3 | 0.65× · 25.1 % | 1.04× · 18.7 % | 1.76× · 14.1 % | 2.63× · 11.0 % |
-//! | 4 | 0.37× · 42.1 % | 0.65× · 34.1 % | 0.93× · 28.4 % | 1.56× · 22.9 % |
-//! | 8 | 0.45× · 99.3 % | 0.62× · 98.5 % | 0.74× · 96.7 % | 0.84× · 93.8 % |
+//! | 2 | 1.18× · 14.0 % | 1.55× · 9.3 % | 2.57× · 6.3 % | 3.36× · 4.4 % |
+//! | 3 | 1.06× · 25.1 % | 1.44× · 18.7 % | 1.96× · 14.1 % | 2.27× · 11.0 % |
+//! | 4 | 0.59× · 42.1 % | 0.79× · 34.1 % | 1.08× · 28.4 % | 1.53× · 22.9 % |
 //!
-//! At d = 3 the first 16,384 points of that part give 1.17×, 1.55× and
-//! 2.16× at k = 64, 128 and 256 (8,192 points: 1.03×, 1.45×, 1.63×).
-//! The whole input (n = 1M, d = 3), the shape of a sequential run,
-//! against the plain loop on 2 threads: 2.61× at k = 128 and 3.95× at
-//! k = 256, relaxing 5.0 % of the pairs. d = 4 gains only at k = 256,
-//! which no workload runs, so the gate stops at d = 3.
+//! The flat plain loop against the plain loop over the points, d = 3,
+//! one thread, medians of 5: on the part, against copying it first and
+//! looping over the copy (what a round-1 reducer ran before), and on
+//! the whole 1M-point input in generation order, which a sequential run
+//! reads uncopied:
+//!
+//! | input | k = 2 | k = 4 | k = 8 | k = 16 | k = 32 | k = 64 |
+//! |---|---|---|---|---|---|---|
+//! | the part | 3.38× | 2.74× | 2.36× | 2.02× | 1.92× | 1.93× |
+//! | the whole input | 1.53× | 2.31× | 2.92× | 2.90× | 3.62× | 3.78× |
+//!
+//! The gate keeps its thresholds although the block path now reads
+//! faster than the flat loop at d ≤ 3 from k = 32. Of the workloads,
+//! only the remote-clique job's `k' = 32` lies there, at 1.06×, inside
+//! this host's spread for that cell; moving the gate is left to a
+//! change that measures that job.
 
 use metric::{par, Metric};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -166,33 +195,41 @@ pub fn gmm_with_threads<P: Sync, M: Metric<P>>(
 ) -> GmmOutcome {
     check_args(points.len(), k, start);
     let k = k.min(points.len());
-    let ordered = if gate_admits(points.len(), k) {
-        metric.locality_copy(points, BLOCK_MAX_DIM)
+    let rows = if points.len() >= FLAT_MIN_POINTS {
+        metric.euclidean_rows(points, FLAT_MAX_DIM)
     } else {
         None
     };
-    match ordered {
-        Some((ordered, order)) => blocks(&ordered, &order, metric, k, start),
-        None => plain(points, metric, k, start, threads),
+    match rows {
+        Some((rows, dim)) if dim <= BLOCK_MAX_DIM && k >= BLOCK_MIN_CENTERS => {
+            blocks(rows, dim, k, start)
+        }
+        Some((rows, dim)) => plain_flat(&rows, dim, k, start, threads),
+        None => plain_generic(points, metric, k, start, threads),
     }
 }
 
-/// Whether [`gmm`] over `points` with `k` centers takes the block
-/// path, judged from the input's size and its first point: a caller
-/// that copies its input for locality (the MapReduce reducers) need not
-/// when GMM makes its own ordered copy. A non-finite coordinate further
-/// in still sends [`gmm`] to the plain loop.
+/// Whether [`gmm`] over `points` runs on flat coordinate rows (the
+/// block path or the flat plain loop), judged from the input's size and
+/// its first point: a caller that copies its input for locality (the
+/// MapReduce reducers) need not when GMM gathers the rows itself. Mixed
+/// dimensions or a non-finite coordinate further in still send [`gmm`]
+/// to the loop over the points.
+pub fn takes_flat_path<P, M: Metric<P>>(points: &[P], metric: &M) -> bool {
+    points.len() >= FLAT_MIN_POINTS && metric.euclidean_rows(&points[..1], FLAT_MAX_DIM).is_some()
+}
+
+/// Whether [`gmm`] over `points` with `k` centers takes the block path,
+/// judged as [`takes_flat_path`] judges.
 pub fn takes_block_path<P, M: Metric<P>>(points: &[P], metric: &M, k: usize) -> bool {
-    gate_admits(points.len(), k) && metric.locality_copy(&points[..1], BLOCK_MAX_DIM).is_some()
+    points.len() >= FLAT_MIN_POINTS
+        && k.min(points.len()) >= BLOCK_MIN_CENTERS
+        && metric.euclidean_rows(&points[..1], BLOCK_MAX_DIM).is_some()
 }
 
-/// The gate's size thresholds; [`BLOCK_MAX_DIM`] is the third.
-fn gate_admits(n: usize, k: usize) -> bool {
-    n >= BLOCK_MIN_POINTS && k.min(n) >= BLOCK_MIN_CENTERS
-}
-
-/// The plain loop, whatever the gate says: the oracle the block path
-/// is tested against. `threads <= 1` runs it sequentially.
+/// The plain loop over the points, whatever the gate says: the oracle
+/// both flat paths are tested against. `threads <= 1` runs it
+/// sequentially.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
@@ -204,12 +241,12 @@ pub fn gmm_plain<P: Sync, M: Metric<P>>(
     threads: usize,
 ) -> GmmOutcome {
     check_args(points.len(), k, start);
-    plain(points, metric, k.min(points.len()), start, threads)
+    plain_generic(points, metric, k.min(points.len()), start, threads)
 }
 
 /// The block path, whatever the gate's thresholds say: `None` if the
-/// metric hands over no ordered copy ([`Metric::locality_copy`], at
-/// any dimension). Its outcome equals [`gmm_plain`]'s bit for bit.
+/// metric hands over no rows ([`Metric::euclidean_rows`], at any
+/// dimension). Its outcome equals [`gmm_plain`]'s bit for bit.
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `start >= points.len()`.
@@ -220,8 +257,8 @@ pub fn gmm_blocked<P: Sync, M: Metric<P>>(
     start: usize,
 ) -> Option<GmmOutcome> {
     check_args(points.len(), k, start);
-    let (ordered, order) = metric.locality_copy(points, usize::MAX)?;
-    Some(blocks(&ordered, &order, metric, k.min(points.len()), start))
+    let (rows, dim) = metric.euclidean_rows(points, usize::MAX)?;
+    Some(blocks(rows, dim, k.min(points.len()), start))
 }
 
 fn check_args(n: usize, k: usize, start: usize) {
@@ -238,26 +275,68 @@ fn record(k: usize, relaxed: u64) {
     }
 }
 
-fn plain<P: Sync, M: Metric<P>>(
+/// The plain loop over the points, each relax step through the
+/// [`Metric::relax`] batch hook.
+fn plain_generic<P: Sync, M: Metric<P>>(
     points: &[P],
     metric: &M,
     k: usize,
     start: usize,
     threads: usize,
 ) -> GmmOutcome {
+    plain(
+        points.len(),
+        k,
+        start,
+        threads,
+        &|c, range, dists, assignment, cj| {
+            metric
+                .relax(&points[c], &points[range], dists, assignment, cj)
+                .expect("ranges are non-empty")
+        },
+    )
+}
+
+/// The plain loop over `dim`-coordinate rows in input order, each relax
+/// step through the flat Euclidean kernel.
+fn plain_flat(rows: &[f64], dim: usize, k: usize, start: usize, threads: usize) -> GmmOutcome {
+    let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+    plain(
+        rows.len() / dim,
+        k,
+        start,
+        threads,
+        &|c, range, dists, assignment, cj| {
+            let chunk = &rows[range.start * dim..range.end * dim];
+            metric::euclidean_relax_flat(row(c), chunk, dim, dists, assignment, cj)
+                .expect("ranges are non-empty")
+        },
+    )
+}
+
+/// One relax step of the plain loop: `relax(c, range, dists,
+/// assignment, cj)` relaxes the points in `range`, whose slices `dists`
+/// and `assignment` are, against point `c` as center `cj`, and returns
+/// the range's farthest survivor with its index relative to
+/// `range.start` (the [`Metric::relax`] contract on that range). It is
+/// called once per round and chunk, so the dynamic call costs nothing.
+type Relax<'a> =
+    dyn Fn(usize, Range<usize>, &mut [f64], &mut [usize], usize) -> (usize, f64) + Sync + 'a;
+
+/// The plain loop over `n` points.
+fn plain(n: usize, k: usize, start: usize, threads: usize, relax: &Relax) -> GmmOutcome {
     let span = diversity_obs::span("gmm.run_ns");
     let out = if threads > 1 {
-        gmm_parallel(points, metric, k, start, threads)
+        gmm_parallel(n, k, start, threads, relax)
     } else {
-        gmm_sequential(points, metric, k, start)
+        gmm_sequential(n, k, start, relax)
     };
     drop(span);
-    record(k, (k as u64).saturating_mul(points.len() as u64));
+    record(k, (k as u64).saturating_mul(n as u64));
     out
 }
 
-fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: usize) -> GmmOutcome {
-    let n = points.len();
+fn gmm_sequential(n: usize, k: usize, start: usize, relax: &Relax) -> GmmOutcome {
     let mut selected = Vec::with_capacity(k);
     let mut insertion_dist = Vec::with_capacity(k);
     let mut assignment = vec![0usize; n];
@@ -270,22 +349,12 @@ fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: us
         selected.push(c);
         insertion_dist.push(next_dist);
         let cj = selected.len() - 1;
-        // Relax distances against the new center via the batch hook
-        // (bitwise-identical to the scalar loop; strict `<` keeps ties
-        // assigned to the earliest center, as Algorithm 1 requires).
-        // The hook returns the farthest survivor — the next candidate —
-        // saving the separate argmax sweep over `dist_to_centers`.
-        let (far, far_dist) = metric
-            .relax(
-                &points[c],
-                points,
-                &mut dist_to_centers,
-                &mut assignment,
-                cj,
-            )
-            .expect("non-empty input");
-        next = far;
-        next_dist = far_dist;
+        // Relax distances against the new center (bitwise-identical to
+        // the scalar loop; strict `<` keeps ties assigned to the
+        // earliest center, as Algorithm 1 requires). The step returns
+        // the farthest survivor — the next candidate — saving the
+        // separate argmax sweep over `dist_to_centers`.
+        (next, next_dist) = relax(c, 0..n, &mut dist_to_centers, &mut assignment, cj);
     }
 
     GmmOutcome {
@@ -305,14 +374,7 @@ fn gmm_sequential<P, M: Metric<P>>(points: &[P], metric: &M, k: usize, start: us
 /// with a strict `>` — which reproduces the sequential global argmax's
 /// first-max-wins tie-break exactly. Relaxation is element-wise (the
 /// [`Metric::relax`] contract), so chunking cannot change any value.
-fn gmm_parallel<P: Sync, M: Metric<P>>(
-    points: &[P],
-    metric: &M,
-    k: usize,
-    start: usize,
-    threads: usize,
-) -> GmmOutcome {
-    let n = points.len();
+fn gmm_parallel(n: usize, k: usize, start: usize, threads: usize, relax: &Relax) -> GmmOutcome {
     let ranges = par::split_ranges(n, threads);
     let workers = ranges.len();
 
@@ -344,8 +406,7 @@ fn gmm_parallel<P: Sync, M: Metric<P>>(
             let (assign_chunk, assign_tail) = assign_rest.split_at_mut(range.len());
             dist_rest = dist_tail;
             assign_rest = assign_tail;
-            let chunk_points = &points[range.clone()];
-            let lo = range.start;
+            let range = range.clone();
             let (center, locals, aborted) = (&center, &locals, &aborted);
             let (start_barrier, finish_barrier) = (&start_barrier, &finish_barrier);
             s.spawn(move || {
@@ -355,10 +416,10 @@ fn gmm_parallel<P: Sync, M: Metric<P>>(
                     start_barrier.wait();
                     let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let c = center.load(Ordering::SeqCst);
-                        let (local_far, local_dist) = metric
-                            .relax(&points[c], chunk_points, dist_chunk, assign_chunk, cj)
-                            .expect("chunks are non-empty");
-                        *locals[w].lock().expect("no poisoning") = (lo + local_far, local_dist);
+                        let (local_far, local_dist) =
+                            relax(c, range.clone(), dist_chunk, assign_chunk, cj);
+                        *locals[w].lock().expect("no poisoning") =
+                            (range.start + local_far, local_dist);
                     }));
                     if round.is_err() {
                         aborted.store(true, Ordering::SeqCst);
@@ -425,13 +486,16 @@ pub fn gmm_default<P: Sync, M: Metric<P>>(points: &[P], metric: &M, k: usize) ->
     gmm(points, metric, k, 0)
 }
 
-/// The gate's largest dimension.
+/// The smallest input either flat path takes.
+const FLAT_MIN_POINTS: usize = 16_384;
+/// The largest dimension of the flat plain loop, the widest of the flat
+/// kernels' fixed-width cases.
+const FLAT_MAX_DIM: usize = 4;
+/// The block path's largest dimension.
 const BLOCK_MAX_DIM: usize = 3;
-/// The gate's smallest input.
-const BLOCK_MIN_POINTS: usize = 16_384;
-/// The gate's fewest centers.
+/// The block path's fewest centers.
 const BLOCK_MIN_CENTERS: usize = 128;
-/// Points per run of the ordered copy.
+/// Points per run of the ordered rows.
 const RUN: usize = 64;
 /// Relative slack of the skip test ([`can_skip`]).
 const SKIP_SLACK: f64 = 1e-9;
@@ -439,11 +503,9 @@ const SKIP_SLACK: f64 = 1e-9;
 /// in a computed distance (`√d·2⁻⁵³⁷`, about `1e-161` per distance).
 const SKIP_FLOOR: f64 = 1e-150;
 
-/// One run of the block path: up to [`RUN`] consecutive points of the
+/// One run of the block path: up to [`RUN`] consecutive rows of the
 /// ordered copy.
 struct Run {
-    /// Position of the member the run's bound is taken from.
-    pivot: usize,
     /// Largest computed distance from the pivot to a member.
     radius: f64,
     /// Largest current distance of a member to the selected centers.
@@ -458,33 +520,35 @@ fn can_skip(to_pivot: f64, radius: f64, max: f64) -> bool {
     to_pivot - radius - max > SKIP_SLACK * (to_pivot + radius + max) + SKIP_FLOOR
 }
 
-/// The block path over `ordered`, a copy of the input with
-/// `order[q]` the input index of `ordered[q]`. Outcomes are reported
-/// in input order.
-fn blocks<P, M: Metric<P>>(
-    ordered: &[P],
-    order: &[usize],
-    metric: &M,
-    k: usize,
-    start: usize,
-) -> GmmOutcome {
+/// The block path over `dim`-coordinate `rows` in input order: sorts a
+/// copy along a Morton curve, runs there, and reports the outcome in
+/// input order.
+fn blocks(rows: Vec<f64>, dim: usize, k: usize, start: usize) -> GmmOutcome {
+    let (ordered, order) = metric::morton_sort(&rows, dim);
+    drop(rows);
     let span = diversity_obs::span("gmm.run_ns");
-    let n = ordered.len();
+    let n = order.len();
+    let row = |q: usize| &ordered[q * dim..(q + 1) * dim];
+    let members = |lo: usize, hi: usize| &ordered[lo * dim..hi * dim];
+    // Each run's pivot (its middle member) is copied into `pivots`, so
+    // one sweep yields every pivot's distance to a new center.
+    let mut pivots = Vec::with_capacity(n.div_ceil(RUN) * dim);
     let mut scratch = [0.0f64; RUN];
     let mut runs: Vec<Run> = (0..n)
         .step_by(RUN)
         .map(|lo| {
-            let members = &ordered[lo..(lo + RUN).min(n)];
-            let pivot = lo + members.len() / 2;
-            let to_pivot = &mut scratch[..members.len()];
-            metric.distance_many(&ordered[pivot], members, to_pivot);
+            let hi = (lo + RUN).min(n);
+            let pivot = row(lo + (hi - lo) / 2);
+            let to_pivot = &mut scratch[..hi - lo];
+            metric::euclidean_many_flat(pivot, members(lo, hi), dim, to_pivot);
+            pivots.extend_from_slice(pivot);
             Run {
-                pivot,
                 radius: to_pivot.iter().copied().fold(0.0, f64::max),
                 max: f64::INFINITY,
             }
         })
         .collect();
+    let mut to_pivots = vec![0.0; runs.len()];
 
     let mut dist = vec![f64::INFINITY; n];
     let mut assign = vec![0usize; n];
@@ -500,31 +564,28 @@ fn blocks<P, M: Metric<P>>(
         let c = next;
         selected.push(order[c]);
         insertion_dist.push(next_dist);
-        let center = &ordered[c];
-        for (r, run) in runs.iter_mut().enumerate() {
+        let center = row(c);
+        metric::euclidean_many_flat(center, &pivots, dim, &mut to_pivots);
+        for (r, (run, &to_pivot)) in runs.iter_mut().zip(&to_pivots).enumerate() {
             let lo = r * RUN;
             let hi = (lo + RUN).min(n);
-            if can_skip(
-                metric.distance(center, &ordered[run.pivot]),
-                run.radius,
-                run.max,
-            ) {
+            if can_skip(to_pivot, run.radius, run.max) {
                 pruned += (hi - lo) as u64;
                 continue;
             }
-            let (_, max) = metric
-                .relax(
-                    center,
-                    &ordered[lo..hi],
-                    &mut dist[lo..hi],
-                    &mut assign[lo..hi],
-                    cj,
-                )
-                .expect("runs are non-empty");
+            let (_, max) = metric::euclidean_relax_flat(
+                center,
+                members(lo, hi),
+                dim,
+                &mut dist[lo..hi],
+                &mut assign[lo..hi],
+                cj,
+            )
+            .expect("runs are non-empty");
             run.max = max;
             relaxed += (hi - lo) as u64;
         }
-        (next, next_dist) = farthest(&runs, &dist, order);
+        (next, next_dist) = farthest(&runs, &dist, &order);
     }
 
     let mut dist_to_centers = vec![0.0; n];
@@ -678,7 +739,8 @@ mod tests {
     #[test]
     fn prune_actually_prunes_on_separated_clusters() {
         // Four far-apart 2-D clusters, large enough for the gate, so
-        // `gmm` itself takes the block path.
+        // `gmm` itself takes the block path, also through `&Euclidean`,
+        // which must forward the flat-row hook.
         let pts: Vec<VecPoint> = (0..4 * 5_000)
             .map(|i| {
                 let (c, j) = (i / 5_000, i % 5_000);
@@ -689,26 +751,30 @@ mod tests {
             })
             .collect();
         let k = 128;
-        assert!(takes_block_path(&pts, &Euclidean, k));
-        let registry = std::sync::Arc::new(diversity_obs::Registry::new());
-        diversity_obs::install(registry.clone());
-        let out = gmm(&pts, &Euclidean, k, 0);
-        let snap = registry.snapshot_now();
-        diversity_obs::uninstall();
-        assert_eq!(out.selected.len(), k);
-        // Lower bounds only: the recorder is process-global, and other
-        // tests in this binary may add to it.
-        let pairs = (pts.len() * k) as u64;
-        let pruned = snap.counter("kernel.pruned_relaxations").unwrap_or(0);
-        let relaxed = snap.counter("gmm.relaxations").unwrap_or(0);
-        assert!(
-            pruned >= pairs / 2,
-            "separated clusters must skip most runs: {pruned} of {pairs} pairs"
-        );
-        assert!(
-            relaxed >= pts.len() as u64,
-            "the first center relaxes every point"
-        );
+        fn run<M: Metric<VecPoint>>(pts: &[VecPoint], metric: &M, k: usize) {
+            assert!(takes_block_path(pts, metric, k));
+            let registry = std::sync::Arc::new(diversity_obs::Registry::new());
+            diversity_obs::install(registry.clone());
+            let out = gmm(pts, metric, k, 0);
+            let snap = registry.snapshot_now();
+            diversity_obs::uninstall();
+            assert_eq!(out.selected.len(), k);
+            // Lower bounds only: the recorder is process-global, and other
+            // tests in this binary may add to it.
+            let pairs = (pts.len() * k) as u64;
+            let pruned = snap.counter("kernel.pruned_relaxations").unwrap_or(0);
+            let relaxed = snap.counter("gmm.relaxations").unwrap_or(0);
+            assert!(
+                pruned >= pairs / 2,
+                "separated clusters must skip most runs: {pruned} of {pairs} pairs"
+            );
+            assert!(
+                relaxed >= pts.len() as u64,
+                "the first center relaxes every point"
+            );
+        }
+        run(&pts, &Euclidean, k);
+        run(&pts, &&Euclidean, k);
     }
 
     #[test]
@@ -718,31 +784,23 @@ mod tests {
                 .map(|i| VecPoint::new((0..dim).map(|j| ((i * (j + 7)) % 101) as f64).collect()))
                 .collect()
         };
-        assert!(takes_block_path(
-            &grid(BLOCK_MIN_POINTS, 3),
-            &Euclidean,
-            BLOCK_MIN_CENTERS
-        ));
+        let (n, k) = (FLAT_MIN_POINTS, BLOCK_MIN_CENTERS);
+        assert!(takes_block_path(&grid(n, 3), &Euclidean, k));
+        assert!(!takes_block_path(&grid(n - 1, 3), &Euclidean, k));
+        assert!(!takes_block_path(&grid(n, 3), &Euclidean, k - 1));
         assert!(!takes_block_path(
-            &grid(BLOCK_MIN_POINTS - 1, 3),
-            &Euclidean,
-            BLOCK_MIN_CENTERS
-        ));
-        assert!(!takes_block_path(
-            &grid(BLOCK_MIN_POINTS, 3),
-            &Euclidean,
-            BLOCK_MIN_CENTERS - 1
-        ));
-        assert!(!takes_block_path(
-            &grid(BLOCK_MIN_POINTS, BLOCK_MAX_DIM + 1),
+            &grid(n, BLOCK_MAX_DIM + 1),
             &Euclidean,
             256
         ));
-        assert!(!takes_block_path(
-            &grid(BLOCK_MIN_POINTS, 3),
-            &metric::Manhattan,
-            256
-        ));
+        assert!(!takes_block_path(&grid(n, 3), &metric::Manhattan, 256));
+        // The flat plain loop takes what the block path leaves, up to
+        // the flat kernels' widest fixed dimension.
+        assert!(takes_flat_path(&grid(n, FLAT_MAX_DIM), &Euclidean));
+        assert!(takes_flat_path(&grid(n, 1), &&Euclidean));
+        assert!(!takes_flat_path(&grid(n, FLAT_MAX_DIM + 1), &Euclidean));
+        assert!(!takes_flat_path(&grid(n - 1, 3), &Euclidean));
+        assert!(!takes_flat_path(&grid(n, 3), &metric::Manhattan));
         assert!(gmm_blocked(&grid(100, 3), &metric::Manhattan, 8, 0).is_none());
     }
 }

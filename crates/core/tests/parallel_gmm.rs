@@ -5,9 +5,10 @@
 //! lets `gmm` pick its thread count from the machine (or
 //! `DIVMAX_THREADS`) without results ever depending on where they ran.
 //!
-//! The tests call the plain loop (`gmm_plain`) explicitly: inputs the
-//! block path's gate admits would otherwise never reach the threads.
-//! The block path has its own oracle test in the workspace `tests/`.
+//! The tests call the plain loop over the points (`gmm_plain`)
+//! explicitly: inputs the gate sends to GMM's flat paths would
+//! otherwise never reach this loop's threads. The flat paths have their
+//! own oracle test, `tests/block_gmm.rs` in the workspace.
 
 use diversity_core::gmm::gmm_plain;
 use metric::{Chebyshev, CosineDistance, Euclidean, Manhattan, Metric, VecPoint};

@@ -67,15 +67,12 @@ use std::borrow::Cow;
 
 /// The rows a round-1 reducer runs GMM, GMM-EXT or GMM-GEN on. A split
 /// leaves a part's rows spread over the heap of the whole input, and
-/// GMM reads them `k'` times, so the reducer copies its part; where
-/// GMM's block path runs, its own locality-ordered copy replaces that
-/// copy.
-pub(crate) fn local_rows<'a, P: Clone, M: Metric<P>>(
-    part: &'a [P],
-    metric: &M,
-    k_prime: usize,
-) -> Cow<'a, [P]> {
-    if diversity_core::gmm::takes_block_path(part, metric, k_prime) {
+/// GMM reads them `k'` times, so the reducer copies its part; where GMM
+/// runs on flat coordinate rows ([`diversity_core::gmm::takes_flat_path`]:
+/// large parts of `Euclidean` `VecPoint`s up to 4-D), its own gather of
+/// the coordinates into one buffer replaces that copy.
+pub(crate) fn local_rows<'a, P: Clone, M: Metric<P>>(part: &'a [P], metric: &M) -> Cow<'a, [P]> {
+    if diversity_core::gmm::takes_flat_path(part, metric) {
         Cow::Borrowed(part)
     } else {
         Cow::Owned(part.to_vec())

@@ -64,7 +64,7 @@ where
             if part.is_empty() {
                 return Coreset::unweighted(Vec::new(), Vec::new(), k_prime, 0.0);
             }
-            let part = crate::local_rows(part, metric, k_prime);
+            let part = crate::local_rows(part, metric);
             // GMM-EXT with the reduced delegate cap: `k` in Algorithm 1
             // is exactly the per-cluster delegate budget.
             let out = gmm_ext(&part, metric, cap, k_prime);

@@ -57,7 +57,7 @@ where
             if part.is_empty() {
                 return Coreset::new(Vec::new(), Vec::new(), Vec::new(), k_prime, 0.0);
             }
-            let part = crate::local_rows(part, metric, k_prime);
+            let part = crate::local_rows(part, metric);
             let out = gmm_gen(&part, metric, k, k_prime);
             let globals = &partitions.global_indices[part_id];
             let pairs = out.coreset.pairs();

@@ -53,7 +53,7 @@ where
             if part.is_empty() {
                 return Coreset::unweighted(Vec::new(), Vec::new(), k_prime, 0.0);
             }
-            let part = crate::local_rows(part, metric, k_prime);
+            let part = crate::local_rows(part, metric);
             let globals = &partitions.global_indices[part_id];
             pipeline::extract_coreset_artifact(problem, &part, metric, k, k_prime)
                 .map_sources(|local| globals[local as usize] as u64)

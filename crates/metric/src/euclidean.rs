@@ -79,13 +79,22 @@ impl Metric<VecPoint> for Euclidean {
         kernels::euclidean_within(p.coords(), set.iter().map(VecPoint::coords), threshold)
     }
 
-    /// Morton order over the points' bounding cube (`crate::morton`).
-    fn locality_copy(
-        &self,
-        points: &[VecPoint],
-        max_dim: usize,
-    ) -> Option<(Vec<VecPoint>, Vec<usize>)> {
-        crate::morton::morton_copy(points, max_dim)
+    /// The coordinates gathered in input order; the flat kernels are
+    /// the per-row ones above on contiguous rows, bit for bit.
+    fn euclidean_rows(&self, points: &[VecPoint], max_dim: usize) -> Option<(Vec<f64>, usize)> {
+        let dim = points.first()?.dim();
+        if dim == 0 || dim > max_dim {
+            return None;
+        }
+        let mut rows = Vec::with_capacity(points.len() * dim);
+        for p in points {
+            let c = p.coords();
+            if c.len() != dim || !c.iter().all(|x| x.is_finite()) {
+                return None;
+            }
+            rows.extend_from_slice(c);
+        }
+        Some((rows, dim))
     }
 }
 

@@ -301,11 +301,16 @@ pub(crate) fn manhattan_relax_flat(
 // Flat-buffer Euclidean kernels (proven-contiguous runs)
 // ---------------------------------------------------------------------
 
-/// Batched Euclidean distances over a contiguous coordinate buffer:
-/// monomorphized check-free blocks at the paper's small dimensions,
-/// SIMD ([`crate::simd`]) above them when enabled, scalar chunks
-/// otherwise. Bitwise-identical across all three paths.
-pub(crate) fn euclidean_many_flat(p: &[f64], flat: &[f64], dim: usize, out: &mut [f64]) {
+/// Euclidean distances from `p` to every row of `flat` (row-major,
+/// `dim` coordinates per row), written to `out`: monomorphized
+/// check-free blocks at the paper's small dimensions, SIMD
+/// ([`crate::simd`]) above them when enabled, scalar chunks otherwise.
+/// Bitwise-identical across all three paths, and to
+/// [`crate::Euclidean`]'s distance on the same coordinates.
+///
+/// # Panics
+/// Panics if `flat.len() != dim * out.len()`.
+pub fn euclidean_many_flat(p: &[f64], flat: &[f64], dim: usize, out: &mut [f64]) {
     assert_eq!(flat.len(), dim * out.len(), "flat buffer shape mismatch");
     debug_assert_eq!(p.len(), dim);
     match dim {
@@ -343,10 +348,15 @@ fn many_flat_fixed<const D: usize>(p: &[f64], flat: &[f64], out: &mut [f64]) {
     diversity_obs::count("kernel.distances", out.len() as u64);
 }
 
-/// Batched Euclidean relaxation over a contiguous coordinate buffer
-/// with root elision and fused argmax; dispatch as
-/// [`euclidean_many_flat`].
-pub(crate) fn euclidean_relax_flat(
+/// The GMM relax step ([`crate::Metric::relax`]) of [`crate::Euclidean`]
+/// over the rows of `flat` (row-major, `dim` coordinates per row), with
+/// root elision and fused argmax; dispatch as [`euclidean_many_flat`].
+/// Returns the farthest survivor, `None` for no rows.
+///
+/// # Panics
+/// Panics if `flat.len() != dim * dists.len()` or
+/// `assignment.len() != dists.len()`.
+pub fn euclidean_relax_flat(
     center: &[f64],
     flat: &[f64],
     dim: usize,

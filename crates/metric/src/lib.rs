@@ -74,10 +74,12 @@ pub use doubling::{estimate_doubling_dimension, DoublingEstimate};
 pub use euclidean::Euclidean;
 pub use hamming::Hamming;
 pub use jaccard::Jaccard;
+pub use kernels::{euclidean_many_flat, euclidean_relax_flat};
 pub use levenshtein::Levenshtein;
 pub use lp::Lp;
 pub use manhattan::Manhattan;
 pub use matrix::DistanceMatrix;
+pub use morton::morton_sort;
 pub use project::{JlKind, JlProjection};
 pub use sparse::SparseVector;
 pub use store::{DenseRow, DenseStore};

@@ -1,45 +1,37 @@
-//! Morton (Z-order) sorting of dense points: the locality-ordered copy
-//! behind the `Euclidean` override of [`crate::Metric::locality_copy`].
+//! Morton (Z-order) sorting of flat coordinate rows: the locality order
+//! of GMM's block path (`diversity_core::gmm`), which reads the rows
+//! [`crate::Metric::euclidean_rows`] hands over.
 //!
-//! Each coordinate is quantized over the points' common bounding cube
-//! and the bits of the quantized coordinates are interleaved into one
-//! 64-bit code, so points close in space tend to get close codes.
+//! Each coordinate is quantized over the rows' common bounding cube and
+//! the bits of the quantized coordinates are interleaved into one
+//! 64-bit code, so rows close in space tend to get close codes.
 //! Sorting by `(code, position)` is deterministic. Only speed depends
 //! on the order: GMM's block path is exact for any permutation.
 
-use crate::VecPoint;
-
-/// A copy of `points` in Morton order, with `order[q]` the position in
-/// `points` of the copy's `q`-th point; ties in code go to the smaller
-/// position. `None` if `points` is empty, the points disagree on
-/// dimension, the dimension is 0 or above `max_dim`, or a coordinate is
-/// not finite.
+/// Sorts `rows` (row-major, `dim` coordinates per row) along a Morton
+/// curve. Returns the sorted rows and `order`, with `order[q]` the
+/// position in `rows` of the sorted buffer's `q`-th row; ties in code
+/// go to the smaller position. Rows are expected finite (the hook
+/// refuses anything else); a non-finite one is still placed, somewhere.
 ///
-/// The coordinates are first gathered into one flat buffer, so the copy
-/// in curve order reads that buffer instead of chasing each input
-/// point's heap allocation; its own allocations then follow the curve.
-pub(crate) fn morton_copy(
-    points: &[VecPoint],
-    max_dim: usize,
-) -> Option<(Vec<VecPoint>, Vec<usize>)> {
-    let n = points.len();
-    let dim = points.first()?.dim();
-    if dim == 0 || dim > max_dim {
-        return None;
+/// # Panics
+/// Panics if `dim == 0` or `rows.len()` is not a multiple of `dim`.
+pub fn morton_sort(rows: &[f64], dim: usize) -> (Vec<f64>, Vec<usize>) {
+    assert!(
+        dim > 0 && rows.len().is_multiple_of(dim),
+        "rows must be whole rows of a positive dimension"
+    );
+    let n = rows.len() / dim;
+    if n == 0 {
+        return (Vec::new(), Vec::new());
     }
-    let mut flat = Vec::with_capacity(n * dim);
     let mut lo = vec![f64::INFINITY; dim];
     let mut hi = vec![f64::NEG_INFINITY; dim];
-    for p in points {
-        let c = p.coords();
-        if c.len() != dim || !c.iter().all(|x| x.is_finite()) {
-            return None;
-        }
+    for c in rows.chunks_exact(dim) {
         for j in 0..dim {
             lo[j] = lo[j].min(c[j]);
             hi[j] = hi[j].max(c[j]);
         }
-        flat.extend_from_slice(c);
     }
 
     // A key is the code above the position's bits, so one sort of plain
@@ -55,7 +47,7 @@ pub(crate) fn morton_copy(
         0.0
     };
     let quantize = |x: f64, j: usize| (((x - lo[j]) * scale) as u64).min(top);
-    let mut keys: Vec<u64> = flat
+    let mut keys: Vec<u64> = rows
         .chunks_exact(dim)
         .enumerate()
         .map(|(i, c)| {
@@ -84,11 +76,11 @@ pub(crate) fn morton_copy(
 
     let mask = (1u64 << index_bits) - 1;
     let order: Vec<usize> = keys.iter().map(|&key| (key & mask) as usize).collect();
-    let copy = order
-        .iter()
-        .map(|&i| VecPoint::new(flat[i * dim..(i + 1) * dim].to_vec()))
-        .collect();
-    Some((copy, order))
+    let mut sorted = Vec::with_capacity(rows.len());
+    for &i in &order {
+        sorted.extend_from_slice(&rows[i * dim..(i + 1) * dim]);
+    }
+    (sorted, order)
 }
 
 /// Spreads the low 32 bits of `x` to the even bit positions.
@@ -114,6 +106,7 @@ fn spread3(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Euclidean, Metric, VecPoint};
 
     /// Interleaves by the bit loop, the reference for the spreads.
     fn interleave(q: &[u64], bits: u32) -> u64 {
@@ -124,6 +117,12 @@ mod tests {
             }
         }
         code
+    }
+
+    /// The hook's rows, then their Morton order.
+    fn sorted(points: &[VecPoint], max_dim: usize) -> Option<(Vec<f64>, Vec<usize>)> {
+        let (rows, dim) = Euclidean.euclidean_rows(points, max_dim)?;
+        Some(morton_sort(&rows, dim))
     }
 
     #[test]
@@ -153,30 +152,33 @@ mod tests {
         // Z order over the four corners: (0,0) twice, ties by position;
         // then (0,3) before (3,0), as x takes the higher bit of each
         // interleaved pair; then (3,3).
-        let (copy, order) = morton_copy(&pts, 2).expect("2-D finite points");
+        let (rows, order) = sorted(&pts, 2).expect("2-D finite points");
         assert_eq!(order, vec![1, 4, 3, 2, 0]);
         for (q, &i) in order.iter().enumerate() {
-            assert_eq!(copy[q], pts[i]);
+            assert_eq!(&rows[2 * q..2 * q + 2], pts[i].coords());
         }
     }
 
     #[test]
     fn refuses_what_it_cannot_order() {
         let p = |c: &[f64]| VecPoint::from(c);
-        assert!(morton_copy(&[], 3).is_none());
-        assert!(morton_copy(&[p(&[1.0, 2.0, 3.0, 4.0])], 3).is_none());
-        assert!(morton_copy(&[p(&[1.0]), p(&[1.0, 2.0])], 3).is_none());
+        assert!(sorted(&[], 3).is_none());
+        assert!(sorted(&[p(&[1.0, 2.0, 3.0, 4.0])], 3).is_none());
+        assert!(sorted(&[p(&[1.0]), p(&[1.0, 2.0])], 3).is_none());
+        assert!(sorted(&[p(&[1.0, 2.0]), p(&[1.0])], 3).is_none());
+        assert!(sorted(&[p(&[])], 3).is_none());
         // Coincident points have a zero-width box: one code, position order.
         let same = vec![p(&[2.0, 2.0]); 3];
         assert_eq!(
-            morton_copy(&same, 3).map(|(_, order)| order),
+            sorted(&same, 3).map(|(_, order)| order),
             Some(vec![0, 1, 2])
         );
         // One point needs no position bits.
         assert_eq!(
-            morton_copy(&[p(&[5.0])], 1).map(|(_, order)| order),
+            sorted(&[p(&[5.0])], 1).map(|(_, order)| order),
             Some(vec![0])
         );
+        assert_eq!(morton_sort(&[], 2), (Vec::new(), Vec::new()));
     }
 
     /// `VecPoint::new` rejects non-finite coordinates in debug builds.
@@ -185,7 +187,7 @@ mod tests {
     fn refuses_non_finite_coordinates() {
         for bad in [f64::NAN, f64::INFINITY] {
             let pts = vec![VecPoint::new(vec![0.0, 1.0]), VecPoint::new(vec![bad, 1.0])];
-            assert!(morton_copy(&pts, 3).is_none());
+            assert!(sorted(&pts, 3).is_none());
         }
     }
 }

@@ -117,22 +117,27 @@ pub trait Metric<P: ?Sized>: Send + Sync {
         set.iter().any(|q| self.distance(p, q) <= threshold)
     }
 
-    /// Locality hook for the block path of GMM (`diversity_core::gmm`):
-    /// a copy of `points` ordered so that nearby points sit together,
-    /// with `order[q]` the input position of the copy's `q`-th point.
-    /// The copied points must equal the originals, so every distance
-    /// between them is unchanged; the order itself only affects speed.
+    /// Flat-row hook for GMM (`diversity_core::gmm`) and the greedy
+    /// matching (`diversity_core::seq::matching`): the points'
+    /// coordinates as one row-major buffer, `dim` values per point, with
+    /// `points[i]` as row `i`.
     ///
-    /// The default returns `None`, which keeps GMM on its plain loop.
-    /// A metric that reads points as coordinate vectors may override it
-    /// (the `Euclidean` hook on `VecPoint` sorts along a Morton curve);
-    /// an override returns `None` too when the points disagree on
-    /// dimension, their dimension exceeds `max_dim`, or a coordinate is
-    /// not finite. Overriding it also vouches that every computed
-    /// distance is within a relative `1e-10` plus an absolute `1e-151`
-    /// of the true one: the block path's skip test has that much slack
-    /// for the triangle inequality it relies on.
-    fn locality_copy(&self, points: &[P], max_dim: usize) -> Option<(Vec<P>, Vec<usize>)>
+    /// `Some((rows, dim))` vouches that this metric's distance between
+    /// `points[i]` and `points[j]` equals, bit for bit, the flat
+    /// Euclidean kernels' distance between rows `i` and `j`
+    /// ([`crate::euclidean_many_flat`], [`crate::euclidean_relax_flat`]),
+    /// so a caller may run on the rows and its outcome stays that of its
+    /// loop over `points`. It also vouches that every computed distance
+    /// is within a relative `1e-10` plus an absolute `1e-151` of the
+    /// true one: GMM's block path skips points by a triangle-inequality
+    /// test with that much slack.
+    ///
+    /// The default returns `None`, which keeps callers on their loops
+    /// over `points`. Only `Euclidean` on `VecPoint` answers, and it
+    /// returns `None` too when `points` is empty, the points disagree on
+    /// dimension, the dimension is 0 or above `max_dim`, or a coordinate
+    /// is not finite.
+    fn euclidean_rows(&self, points: &[P], max_dim: usize) -> Option<(Vec<f64>, usize)>
     where
         P: Sized,
     {
@@ -190,11 +195,11 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
     }
 
     #[inline]
-    fn locality_copy(&self, points: &[P], max_dim: usize) -> Option<(Vec<P>, Vec<usize>)>
+    fn euclidean_rows(&self, points: &[P], max_dim: usize) -> Option<(Vec<f64>, usize)>
     where
         P: Sized,
     {
-        (**self).locality_copy(points, max_dim)
+        (**self).euclidean_rows(points, max_dim)
     }
 }
 

@@ -1,16 +1,24 @@
-//! Oracle tests for GMM's block path: on every input it must return
-//! what the plain loop returns, bit for bit — the same selection order,
-//! insertion distances, assignments and distances to the centers.
+//! Oracle tests for GMM's flat paths, the block path and the flat plain
+//! loop: on every input each must return what the plain loop over the
+//! points returns, bit for bit — the same selection order, insertion
+//! distances, assignments and distances to the centers.
 //!
-//! Both paths are called directly (`gmm_blocked` and `gmm_plain`), so
-//! inputs far below the gate's thresholds are covered too. The cases
-//! aim at what could tell the paths apart: exact ties across and within
-//! runs of the ordered copy (integer grids with duplicate points), run
-//! boundaries (`n` around multiples of 64), `k >= n`, random starts,
-//! and clustered inputs where a run's radius is far above its largest
-//! distance, so the skip test subtracts nearly equal magnitudes.
+//! The block path is called directly (`gmm_blocked` against
+//! `gmm_plain`), so inputs far below the gate's thresholds are covered
+//! too. The cases aim at what could tell the paths apart: exact ties
+//! across and within runs of the ordered copy (integer grids with
+//! duplicate points), run boundaries (`n` around multiples of 64),
+//! `k >= n`, random starts, and clustered inputs where a run's radius
+//! is far above its largest distance, so the skip test subtracts nearly
+//! equal magnitudes. The flat plain loop is reached through the gate,
+//! on inputs at its size and below the block path's `k`, at every
+//! dimension it takes and at thread counts that split the rows
+//! unevenly; inputs the flat-row hook refuses keep the loop over the
+//! points.
 
-use diversity::core::gmm::{gmm, gmm_blocked, gmm_plain, gmm_with_threads, takes_block_path};
+use diversity::core::gmm::{
+    gmm, gmm_blocked, gmm_plain, gmm_with_threads, takes_block_path, takes_flat_path,
+};
 use diversity::core::GmmOutcome;
 use diversity::datasets::sphere_shell;
 use diversity::metric::{Euclidean, VecPoint};
@@ -201,5 +209,87 @@ fn block_path_matches_plain_where_squares_underflow() {
         let block = gmm_blocked(&points, &Euclidean, 3, start).expect("finite points are ordered");
         identical(&oracle, &block)
             .unwrap_or_else(|e| panic!("offset {j}: block path diverged: {e:?}"));
+    }
+}
+
+/// The flat plain loop: sphere shells at its smallest sizes, every
+/// dimension it takes and `k` below the block path's, plus `k = 128` at
+/// d = 4, where the block path stops. Each case runs on two of one,
+/// two, three and five threads, in rotation.
+#[test]
+fn flat_plain_loop_matches_plain_on_sphere_shells() {
+    const THREADS: [usize; 4] = [1, 2, 3, 5];
+    let mut case = 0;
+    for dim in 1..=4 {
+        let n = 16_384 + 523 * dim;
+        let (points, _) = sphere_shell(n, 32, dim, 40 + dim as u64);
+        assert!(takes_flat_path(&points, &Euclidean));
+        let start = 977 * dim;
+        let ks: &[usize] = if dim == 4 {
+            &[1, 7, 32, 127, 128]
+        } else {
+            &[1, 7, 32, 127]
+        };
+        for &k in ks {
+            assert!(!takes_block_path(&points, &Euclidean, k));
+            let oracle = gmm_plain(&points, &Euclidean, k, start, 1);
+            for threads in [THREADS[case % 4], THREADS[(case + 1) % 4]] {
+                identical(
+                    &oracle,
+                    &gmm_with_threads(&points, &Euclidean, k, start, threads),
+                )
+                .unwrap_or_else(|e| {
+                    panic!("d = {dim}, k = {k}, {threads} threads: flat loop diverged: {e:?}")
+                });
+            }
+            case += 1;
+        }
+    }
+}
+
+/// The gate and the oracle agree on `points` whatever path it takes.
+fn gated_matches_plain(points: &[VecPoint], k: usize, start: usize) {
+    let oracle = gmm_plain(points, &Euclidean, k, start, 1);
+    for threads in [1, 2] {
+        identical(
+            &oracle,
+            &gmm_with_threads(points, &Euclidean, k, start, threads),
+        )
+        .unwrap_or_else(|e| panic!("k = {k}, {threads} threads: diverged: {e:?}"));
+    }
+}
+
+/// Inputs the flat-row hook refuses past their first point take the
+/// loop over the points: mixed dimensions, and d = 5, above the flat
+/// kernels' fixed widths.
+#[test]
+fn refused_inputs_keep_the_loop_over_the_points() {
+    let (mut points, _) = sphere_shell(16_500, 32, 3, 5);
+    // A 4-D twin of an earlier point. A 3-D center reads its first
+    // three coordinates, so it ties its twin and never becomes a center
+    // itself (a 4-D center would read past the 3-D points' ends).
+    let twin = points[100].coords().to_vec();
+    points[9_000] = VecPoint::new([twin.as_slice(), &[7.0]].concat());
+    assert!(takes_flat_path(&points, &Euclidean));
+    for k in [7, 128] {
+        gated_matches_plain(&points, k, 3);
+    }
+    let (points, _) = sphere_shell(16_500, 32, 5, 5);
+    assert!(!takes_flat_path(&points, &Euclidean));
+    gated_matches_plain(&points, 32, 3);
+}
+
+/// A non-finite coordinate past index 0. `VecPoint::new` rejects it in
+/// debug builds.
+#[test]
+#[cfg(not(debug_assertions))]
+fn non_finite_inputs_keep_the_loop_over_the_points() {
+    for bad in [f64::NAN, f64::INFINITY] {
+        let (mut points, _) = sphere_shell(16_500, 32, 3, 6);
+        points[12_000] = VecPoint::new(vec![0.5, bad, 0.5]);
+        assert!(takes_flat_path(&points, &Euclidean));
+        for k in [7, 128] {
+            gated_matches_plain(&points, k, 3);
+        }
     }
 }
