@@ -8,14 +8,17 @@
 //!
 //! * **GMM relax** — `gmm_with_threads` over a dense store (the
 //!   `O(n·k)` kernel loop every backend bottoms out in);
-//! * **dynamic insert** — `DynamicDiversity::insert`, the cover
-//!   descent the serving pool pays per update;
+//! * **pool insert** — `ShardPool::insert` on a one-shard pool whose
+//!   prefix an extraction has grown to `k' = 64`: each insert measures
+//!   its distances to the centers, or resumes the traversal when it
+//!   would have been picked (the update the serving pool pays);
 //! * **warm query** — `ShardPool::query`, extraction + merge + solve.
 //!
 //! With the recorder installed, the same runs also produce a
 //! [`Snapshot`](diversity_obs::Snapshot), and the headline quantiles
 //! (insert p50/p99, warm-query p50/p99) come out of its histograms —
-//! the numbers a serving deployment would alert on.
+//! the numbers a serving deployment would alert on. Each timed insert
+//! runs inside a `bench.pool_insert_ns` span, in both modes.
 //!
 //! Writes `BENCH_obs.json` at the workspace root with both modes'
 //! timings and the enabled-mode quantiles. Overhead numbers are
@@ -27,7 +30,6 @@ use diversity::prelude::*;
 use diversity_bench::{fmt_secs, scaled, timed, trials, Table};
 use diversity_core::gmm::gmm_with_threads;
 use diversity_datasets::{gaussian_clusters, sphere_shell_dense};
-use diversity_dynamic::DynamicDiversity;
 use diversity_obs::Registry;
 use diversity_serve::{Serve, ShardPool};
 use std::sync::Arc;
@@ -69,19 +71,25 @@ fn main() {
             timed(|| std::hint::black_box(gmm_with_threads(rows, &Euclidean, k, 0, 1))).1
         })
     };
+    let k_prime = 64;
+    let task = Task::new(Problem::RemoteEdge, 8).budget(Budget::KPrime(k_prime));
     let insert_secs = |points: &[VecPoint]| {
+        let (seed, arrivals) = points.split_at(points.len() / 2);
         min_over(trials, || {
+            let pool: ShardPool<VecPoint, Euclidean> = task.serve(Euclidean, 1).unwrap();
+            pool.extend(seed.iter().cloned()).expect("seed pool");
+            // Grow the prefix to k' outside the warm-query histogram.
+            pool.coreset(task.problem(), task.k(), k_prime);
             timed(|| {
-                let mut engine = DynamicDiversity::new(Euclidean);
-                for p in points {
-                    engine.insert(p.clone());
+                for p in arrivals {
+                    let _span = diversity_obs::span("bench.pool_insert_ns");
+                    pool.insert(p.clone()).expect("insert");
                 }
-                std::hint::black_box(engine.len())
+                std::hint::black_box(pool.len())
             })
             .1
         })
     };
-    let task = Task::new(Problem::RemoteEdge, 8).budget(Budget::KPrime(64));
     let make_pool = |points: &[VecPoint]| -> ShardPool<VecPoint, Euclidean> {
         let pool = task.serve(Euclidean, 4).unwrap();
         pool.extend(points.iter().cloned()).expect("seed pool");
@@ -128,7 +136,7 @@ fn main() {
 
     // The snapshot must actually have seen the instrumented paths.
     assert!(snap.counter("gmm.runs").unwrap_or(0) >= trials as u64);
-    let insert_hist = snap.histogram("dynamic.insert_ns").expect("insert hist");
+    let insert_hist = snap.histogram("bench.pool_insert_ns").expect("insert hist");
     let query_hist = snap.histogram("serve.query.e2e_ns").expect("query hist");
     let occupancy = snap.gauge_prefix_sum(&pool.gauge_prefix());
     assert_eq!(
@@ -148,7 +156,10 @@ fn main() {
     );
     for (name, m) in [
         (format!("gmm relax n={n} k={k}"), &gmm),
-        (format!("dynamic insert x{}", insert_points.len()), &insert),
+        (
+            format!("1-shard pool insert x{}", insert_points.len().div_ceil(2)),
+            &insert,
+        ),
         (format!("warm query ({} pts, 4 shards)", pool.len()), &query),
     ] {
         table.row(vec![
@@ -173,11 +184,11 @@ fn main() {
             "  \"bench\": \"obs\",\n",
             "  \"n\": {n},\n  \"k\": {k},\n  \"trials\": {trials},\n",
             "  \"gmm_relax_seconds\": {{ \"disabled\": {gd:.6}, \"enabled\": {ge:.6}, \"overhead\": {go:.3} }},\n",
-            "  \"dynamic_insert_seconds\": {{ \"disabled\": {id:.6}, \"enabled\": {ie:.6}, \"overhead\": {io:.3} }},\n",
+            "  \"pool_insert_seconds\": {{ \"disabled\": {id:.6}, \"enabled\": {ie:.6}, \"overhead\": {io:.3} }},\n",
             "  \"warm_query_seconds\": {{ \"disabled\": {qd:.6}, \"enabled\": {qe:.6}, \"overhead\": {qo:.3} }},\n",
             "  \"enabled_quantiles_ns\": {{\n",
-            "    \"dynamic_insert_p50\": {ip50},\n",
-            "    \"dynamic_insert_p99\": {ip99},\n",
+            "    \"pool_insert_p50\": {ip50},\n",
+            "    \"pool_insert_p99\": {ip99},\n",
             "    \"warm_query_p50\": {qp50},\n",
             "    \"warm_query_p99\": {qp99}\n",
             "  }}\n",

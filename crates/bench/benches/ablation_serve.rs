@@ -1,6 +1,6 @@
 //! Ablation: warm-path serving (`ShardPool::query`) vs the cold
-//! per-query rerun of round 1 (`Task::run_sharded`) — the gap the
-//! serving layer exists to close.
+//! per-query rerun of round 1 (`Task::run_mapreduce` with
+//! `Strategy::TwoRound`) — the gap the serving layer exists to close.
 //!
 //! Measures, at n ≥ 40k (scale with `DIVMAX_SCALE`), for remote-edge
 //! and remote-clique:
@@ -9,7 +9,7 @@
 //!   combiner solve, over a pool that absorbed the data as updates
 //!   (min over `DIVMAX_TRIALS` trials; the first query grows the
 //!   prefixes);
-//! * **cold query latency** — `run_sharded`, which reruns GMM over
+//! * **cold query latency** — the 2-round run, which reruns GMM over
 //!   every shard before the identical merge/solve;
 //! * **update throughput** — amortized insert cost into the pool, the
 //!   price the warm path pays once instead of per query;
@@ -66,7 +66,10 @@ fn main() {
         let mut cold_secs = f64::INFINITY;
         let mut cold_value = 0.0;
         for _ in 0..trials {
-            let (report, secs) = timed(|| task.run_sharded(&parts, &Euclidean, &rt).unwrap());
+            let (report, secs) = timed(|| {
+                task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)
+                    .unwrap()
+            });
             cold_secs = cold_secs.min(secs);
             cold_value = report.value;
         }
@@ -127,7 +130,7 @@ fn main() {
             format!("updates amortized at {update_us:.1}us/insert"),
         ]);
         table.row(vec![
-            "cold (run_sharded)".into(),
+            "cold (2-round MapReduce)".into(),
             fmt_secs(cold_secs),
             format!("{cold_value:.4}"),
             "reruns round 1 over every shard".into(),

@@ -6,10 +6,9 @@
 //! * **query latency from warm shards** — the serving-path cost: each
 //!   pool shard keeps its GMM prefix current (amortized over updates),
 //!   so a query is per-shard reads + merge + combiner solve;
-//! * the same query answered cold by `run_sharded` (the 2-round
-//!   MapReduce run, which rescans every shard's raw points and must
-//!   equal the warm answer bit for bit) and by the single-machine
-//!   core-set pipeline;
+//! * the same query answered cold by the 2-round MapReduce run (which
+//!   rescans every shard's raw points and must equal the warm answer
+//!   bit for bit) and by the single-machine core-set pipeline;
 //! * shipped volume (solve-input size) and the composed radius
 //!   certificate, against each alternative's;
 //! * solution-value ratios, which must stay near 1 — the composition
@@ -41,19 +40,16 @@ fn main() {
         let (warm, warm_secs) = timed(|| pool.query(&task).expect("warm query"));
         let (shipped, radius) = (warm.coreset_size, warm.coreset_radius.unwrap_or(f64::NAN));
 
-        // Cold path: run_sharded reruns round 1 over every part.
-        let (cold, cold_secs) = timed(|| task.run_sharded(&parts, &Euclidean, &rt).unwrap());
-        assert_eq!(
-            warm.value.to_bits(),
-            cold.value.to_bits(),
-            "{problem}: the warm pool answers like run_sharded"
-        );
-
-        // The parents.
+        // Cold path: the 2-round run reruns round 1 over every part.
         let (mr, mr_secs) = timed(|| {
             task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)
                 .unwrap()
         });
+        assert_eq!(
+            warm.value.to_bits(),
+            mr.value.to_bits(),
+            "{problem}: the warm pool answers like two_round"
+        );
         let (seq, seq_secs) = timed(|| task.run_seq(&points, &Euclidean).unwrap());
 
         let mut table = Table::new(
@@ -68,14 +64,7 @@ fn main() {
             format!("{radius:.4}"),
         ]);
         table.row(vec![
-            "sharded (cold, run_sharded)".into(),
-            fmt_secs(cold_secs),
-            format!("{:.4}", cold.value),
-            format!("{}", cold.coreset_size),
-            format!("{:.4}", cold.coreset_radius.unwrap_or(f64::NAN)),
-        ]);
-        table.row(vec![
-            "2-round MapReduce".into(),
+            "2-round MapReduce (cold)".into(),
             fmt_secs(mr_secs),
             format!("{:.4}", mr.value),
             format!("{}", mr.coreset_size),

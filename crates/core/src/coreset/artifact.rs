@@ -11,10 +11,10 @@
 //! points are within `r_2` of the second — the triangle-inequality
 //! telescope of Lemmas 3–4). Those two laws are exactly
 //! [`Coreset::merge`] and [`Coreset::deepen`]; everything the substrates
-//! hand each other — per-partition kernels, streaming outputs, dynamic
-//! extractions, recursive working sets — is this one artifact, so the
-//! laws are stated (and property-tested) once instead of re-derived as
-//! ad-hoc `Vec` plumbing in every round driver.
+//! hand each other — per-partition kernels, streaming outputs, serving
+//! shards' extractions, recursive working sets — is this one artifact,
+//! so the laws are stated (and property-tested) once instead of
+//! re-derived as ad-hoc `Vec` plumbing in every round driver.
 //!
 //! A [`Coreset`] carries:
 //!
@@ -22,9 +22,9 @@
 //!   purpose is to travel to another machine);
 //! * per-point **provenance** (`sources`): the point's index in the
 //!   producing substrate's index space (slice position, MapReduce
-//!   global index, stream arrival position, dynamic engine `PointId`
-//!   raw value), so a solution found on the core-set can always be
-//!   traced back;
+//!   global index, stream arrival position, encoded serving-pool
+//!   handle), so a solution found on the core-set can always be traced
+//!   back;
 //! * per-point **weights** (multiplicities): 1 for plain/delegate
 //!   core-sets, the delegate *counts* for generalized core-sets
 //!   (Section 6.2), so the 3-round algorithm's shuffle speaks the same
@@ -262,23 +262,6 @@ impl<P> Coreset<P> {
             .iter()
             .all(|p| metric.distance_to_set_within(p, &self.points, self.radius + slack))
     }
-}
-
-/// A substrate that can extract the problem-appropriate composable
-/// core-set of what it currently holds.
-///
-/// Implementations: `pipeline::PointSet` (a slice + metric — the
-/// sequential substrate), `diversity_dynamic::DynamicDiversity` (the
-/// maintained cover hierarchy). The streaming processors produce
-/// [`Coreset`]s through their `finish`/`into_coreset` path instead —
-/// a one-pass stream cannot re-extract at an arbitrary `k'` after the
-/// fact — and the MapReduce round drivers both consume and produce
-/// them.
-pub trait CoresetSource<P> {
-    /// Extracts a core-set for `problem` with kernel budget `k_prime`
-    /// (`k` is the solution size, which sizes the per-kernel delegate
-    /// allowance for the injective-proxy problems).
-    fn extract_coreset(&self, problem: crate::Problem, k: usize, k_prime: usize) -> Coreset<P>;
 }
 
 #[cfg(test)]

@@ -20,14 +20,13 @@
 //! [`Coreset`] artifact: points + provenance + weights + the `(k',
 //! radius)` certificate, with the composition laws
 //! ([`Coreset::merge`], [`Coreset::deepen`]) stated once for every
-//! substrate. [`CoresetSource`] is the extraction capability the
-//! random-access substrates implement.
+//! substrate.
 
 mod artifact;
 mod gmm_ext;
 mod gmm_gen;
 
-pub use artifact::{Coreset, CoresetSource};
+pub use artifact::Coreset;
 pub use gmm_ext::{gmm_ext, gmm_ext_with_threads, GmmExtOutcome};
 pub use gmm_gen::{gmm_gen, GmmGenOutcome};
 

@@ -1,5 +1,5 @@
 //! The doubling-algorithm phase machinery shared by the streaming
-//! core-sets (SMM, SMM-EXT, SMM-GEN) and the fully dynamic engine.
+//! core-sets (SMM, SMM-EXT, SMM-GEN).
 //!
 //! This module owns the pieces that are common to every
 //! threshold-at-scale construction in the workspace:
@@ -10,9 +10,7 @@
 //!   (Theorem 2's delegates and Theorem 9's counts);
 //! * [`Center`] — a point plus its payload;
 //! * [`DoublingCore`] — the single-threshold phase machinery of the
-//!   streaming doubling algorithm (Section 4);
-//! * [`scale_to_distance`] / [`distance_to_scale`] — the `2^i` level
-//!   geometry the dynamic engine's hierarchical cover is built on.
+//!   streaming doubling algorithm (Section 4).
 //!
 //! # The phase machinery
 //!
@@ -48,26 +46,6 @@
 
 use metric::{argmin, Metric};
 use serde::{Deserialize, Serialize};
-
-/// The distance threshold of cover level `i`: `2^i`.
-///
-/// Levels may be negative (scales below 1); the geometry is shared by
-/// the dynamic engine's hierarchical cover and by anything that needs
-/// to snap a distance onto the doubling ladder.
-#[inline]
-pub fn scale_to_distance(level: i32) -> f64 {
-    (level as f64).exp2()
-}
-
-/// The smallest level `i` with `2^i >= d` (for `d > 0`).
-///
-/// # Panics
-/// Panics if `d` is not finite and positive.
-#[inline]
-pub fn distance_to_scale(d: f64) -> i32 {
-    assert!(d > 0.0 && d.is_finite(), "scale of non-positive distance");
-    d.log2().ceil() as i32
-}
 
 /// Variant-specific per-center bookkeeping.
 ///
@@ -115,8 +93,7 @@ impl<P> Payload<P> for () {
 }
 
 /// Delegate set `E_t` of a center: up to `k` points including the
-/// center itself — the bookkeeping of SMM-EXT (Theorem 2) and of the
-/// dynamic engine's per-center delegate buckets.
+/// center itself — the bookkeeping of SMM-EXT (Theorem 2).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DelegateSet<P> {
     delegates: Vec<P>,
@@ -551,22 +528,6 @@ mod tests {
     fn feed(core: &mut DoublingCore<VecPoint, ()>, xs: &[f64]) {
         for &x in xs {
             core.push(VecPoint::from([x]), &Euclidean);
-        }
-    }
-
-    #[test]
-    fn scale_geometry_roundtrips() {
-        assert_eq!(scale_to_distance(0), 1.0);
-        assert_eq!(scale_to_distance(3), 8.0);
-        assert_eq!(scale_to_distance(-2), 0.25);
-        assert_eq!(distance_to_scale(8.0), 3);
-        assert_eq!(distance_to_scale(5.0), 3);
-        assert_eq!(distance_to_scale(0.3), -1);
-        // d <= 2^{distance_to_scale(d)} < 2d for all positive d.
-        for d in [1e-6, 0.017, 0.5, 1.0, 3.7, 1e9] {
-            let s = distance_to_scale(d);
-            assert!(scale_to_distance(s) >= d);
-            assert!(scale_to_distance(s - 1) < d);
         }
     }
 

@@ -68,7 +68,7 @@ pub mod pipeline;
 mod problem;
 pub mod seq;
 
-pub use coreset::{Coreset, CoresetSource};
+pub use coreset::Coreset;
 pub use generalized::{GenPair, GeneralizedCoreset};
 pub use gmm::{gmm, gmm_default, GmmOutcome};
 pub use problem::{Problem, Solution};

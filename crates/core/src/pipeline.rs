@@ -14,7 +14,7 @@
 //! sizing, and a uniform report type — prefer it at application
 //! boundaries.
 
-use crate::coreset::{gmm_coreset_with_threads, gmm_ext_with_threads, Coreset, CoresetSource};
+use crate::coreset::{gmm_coreset_with_threads, gmm_ext_with_threads, Coreset};
 use crate::par;
 use crate::{seq, Problem, Solution};
 use metric::Metric;
@@ -175,47 +175,6 @@ pub fn shrink_coreset<P: Clone + Sync, M: Metric<P>>(
     fresh
         .map_sources(|local| parent.sources()[local as usize])
         .deepen(parent.radius())
-}
-
-/// The sequential substrate as a [`CoresetSource`]: a point slice plus
-/// its metric (and an optional thread cap for the extraction).
-pub struct PointSet<'a, P, M> {
-    points: &'a [P],
-    metric: &'a M,
-    threads: usize,
-}
-
-impl<'a, P, M> PointSet<'a, P, M> {
-    /// A source over `points` with automatic threading.
-    pub fn new(points: &'a [P], metric: &'a M) -> Self {
-        Self {
-            points,
-            metric,
-            threads: par::auto_threads(points.len()),
-        }
-    }
-
-    /// A source with an explicit thread count (`<= 1` sequential).
-    pub fn with_threads(points: &'a [P], metric: &'a M, threads: usize) -> Self {
-        Self {
-            points,
-            metric,
-            threads,
-        }
-    }
-}
-
-impl<P: Clone + Sync, M: Metric<P>> CoresetSource<P> for PointSet<'_, P, M> {
-    fn extract_coreset(&self, problem: Problem, k: usize, k_prime: usize) -> Coreset<P> {
-        extract_coreset_artifact_with_threads(
-            problem,
-            self.points,
-            self.metric,
-            k,
-            k_prime,
-            self.threads,
-        )
-    }
 }
 
 /// Extracts the problem-appropriate core-set (indices into `points`).
@@ -387,14 +346,5 @@ mod tests {
         }
         // And the composed radius really covers the original input.
         assert!(child.certifies(&pts, &Euclidean, 1e-9));
-    }
-
-    #[test]
-    fn point_set_is_a_coreset_source() {
-        let pts = line(&(0..40).map(|i| i as f64).collect::<Vec<_>>());
-        let source = PointSet::new(&pts, &Euclidean);
-        let a = source.extract_coreset(Problem::RemoteEdge, 3, 6);
-        let b = extract_coreset_artifact(Problem::RemoteEdge, &pts, &Euclidean, 3, 6);
-        assert_eq!(a, b);
     }
 }

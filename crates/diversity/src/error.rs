@@ -1,9 +1,9 @@
 //! The typed error vocabulary of the [`crate::Task`] front door.
 //!
 //! The low-level free functions (`core::pipeline`,
-//! `streaming::pipeline`, the MapReduce drivers, the dynamic engine)
-//! keep their documented `panic!` contracts — they are experiment-
-//! harness plumbing whose callers control every argument. `Task`
+//! `streaming::pipeline`, the MapReduce drivers) keep their documented
+//! `panic!` contracts — they are experiment-harness plumbing whose
+//! callers control every argument. `Task`
 //! validates the same conditions *upfront* and returns these errors
 //! instead, so a serving layer can reject a malformed job spec without
 //! unwinding.
@@ -15,7 +15,7 @@ use diversity_core::Problem;
 /// obtaining a [`crate::Report`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum DivError {
-    /// The input point set (or partitioned input, or dynamic engine)
+    /// The input point set (or partitioned input, or serving pool)
     /// contains no points.
     EmptyInput,
     /// The stream yielded no items. Detected on the first poll of the

@@ -3,8 +3,10 @@
 //! Facade crate for the diversity-maximization stack — a Rust
 //! implementation of *"MapReduce and Streaming Algorithms for Diversity
 //! Maximization in Metric Spaces of Bounded Doubling Dimension"*
-//! (Ceccarello, Pietracaprina, Pucci, Upfal — PVLDB 2017), extended
-//! with a fully dynamic (insert + delete) engine.
+//! (Ceccarello, Pietracaprina, Pucci, Upfal — PVLDB 2017). The
+//! `diversity-serve` crate adds the fourth substrate on top of this
+//! one: a pool whose shards keep round 1 of the 2-round algorithm
+//! current under inserts and deletes.
 //!
 //! ## The front door: [`Task`]
 //!
@@ -32,15 +34,8 @@
 //! let rt = mapreduce::MapReduceRuntime::with_threads(4);
 //! let mr = task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)?;
 //!
-//! // Fully dynamic: inserts (and deletes) maintain the core-set — same task.
-//! let mut engine = dynamic::DynamicDiversity::new(Euclidean);
-//! for p in &points {
-//!     engine.insert(p.clone());
-//! }
-//! let dyn_report = task.run_dynamic(&engine)?;
-//!
 //! // One report shape everywhere: indices, owned points, value, timings.
-//! for report in [&stream, &mr, &dyn_report] {
+//! for report in [&stream, &mr] {
 //!     assert_eq!(report.len(), 8);
 //!     assert!(report.value > 0.0);
 //! }
@@ -67,15 +62,12 @@
 //!   streaming algorithms;
 //! * [`mapreduce`] — the simulated MapReduce runtime and the 2-round /
 //!   randomized / 3-round / recursive algorithms;
-//! * [`dynamic`] — the fully dynamic (insert + delete) cover-hierarchy
-//!   engine;
 //! * [`datasets`] — the paper's workload generators;
 //! * [`baselines`] — the AFZ and IMMM comparators.
 
 pub use diversity_baselines as baselines;
 pub use diversity_core as core;
 pub use diversity_datasets as datasets;
-pub use diversity_dynamic as dynamic;
 pub use diversity_mapreduce as mapreduce;
 pub use diversity_obs as obs;
 pub use diversity_streaming as streaming;
@@ -92,16 +84,14 @@ pub use task::{Budget, Projection, Strategy, Task};
 
 /// The commonly needed names in one import.
 pub mod prelude {
-    pub use crate::{baselines, datasets, dynamic, mapreduce, streaming};
+    pub use crate::{baselines, datasets, mapreduce, streaming};
     pub use crate::{
         Backend, Budget, Certificate, Degradation, DivError, Projection, Report, StageMemory,
         StageTiming, Strategy, Task,
     };
     pub use diversity_core::{
-        eval, exact, pipeline, seq, Coreset, CoresetSource, GenPair, GeneralizedCoreset, Problem,
-        Solution,
+        eval, exact, pipeline, seq, Coreset, GenPair, GeneralizedCoreset, Problem, Solution,
     };
-    pub use diversity_dynamic::{DynamicDiversity, PointId};
     pub use metric::{
         ColRow, CosineDistance, DenseRow, DenseStore, DenseStoreColMajor, DistanceMatrix,
         Euclidean, Jaccard, JlKind, JlProjection, Manhattan, Metric, SparseVector, VecPoint,

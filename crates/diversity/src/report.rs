@@ -4,7 +4,7 @@
 //! machine's memory, the sequential `α`-approximation run on it — but
 //! the legacy free functions return differently-shaped results
 //! (`Solution` with indices, `StreamSolution` with owned points,
-//! `MrOutcome`/`DynamicSolution` wrappers). [`Report`] unifies them:
+//! `MrOutcome` wrappers). [`Report`] unifies them:
 //! selected **indices and owned points**, the objective value, core-set
 //! provenance, per-stage timings, and — when the task was sized from an
 //! accuracy target — the theory-side `(α + ε)` certificate.
@@ -21,12 +21,10 @@ pub enum Backend {
     Streaming,
     /// Simulated MapReduce (Theorems 6–8, 10).
     MapReduce,
-    /// The fully dynamic cover-hierarchy engine.
-    Dynamic,
-    /// The sharded composition: per-shard core-sets merged through
-    /// the 2-round MapReduce combiner, cold
-    /// ([`crate::Task::run_sharded`]) or from the serving pool's
-    /// maintained shards (`diversity_serve::ShardPool::query`).
+    /// The serving pool's warm answer
+    /// (`diversity_serve::ShardPool::query`): each shard keeps round 1
+    /// of the 2-round algorithm current under inserts and deletes, and
+    /// the query merges the shards' core-sets through its combiner.
     ShardedDynamic,
 }
 
@@ -65,9 +63,9 @@ pub struct StageMemory {
 /// at most the budget's `dim`, the executing backend's theorem
 /// (Theorem 3 streaming, Theorems 5–6 MapReduce, their `ℓ = 1` case
 /// sequentially — each with its own kernel sizing, which the budget
-/// resolution applies) guarantees `value >= OPT / (alpha + eps)`. The
-/// dynamic backend never attaches one (see
-/// [`crate::Task::run_dynamic`]).
+/// resolution applies) guarantees `value >= OPT / (alpha + eps)`. A
+/// serving pool's warm answer never attaches one: its composed
+/// `coreset_radius` is the accuracy witness.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Certificate {
     /// The sequential algorithm's approximation factor `α` (Table 1).
@@ -148,8 +146,8 @@ pub struct Report<P> {
     /// The selected points' positions in the backend's index space:
     /// slice positions (sequential), original positions through the
     /// partition mapping (MapReduce), stream arrival order (streaming),
-    /// or [`diversity_dynamic::PointId`] values (dynamic — insertion
-    /// order on an insert-only engine).
+    /// or encoded pool handles (`diversity_serve::ShardedId`, whose
+    /// shard-local ids on an insert-only shard are insertion order).
     pub indices: Vec<usize>,
     /// The selected points themselves, aligned with `indices`.
     pub points: Vec<P>,
@@ -159,9 +157,9 @@ pub struct Report<P> {
     pub timings: Vec<StageTiming>,
     /// Per-stage memory accounting (points resident / shipped), in
     /// execution order. Populated by the backends that measure
-    /// residency — every MapReduce round and the streaming pass; empty
-    /// for the sequential and dynamic backends, which hold the input
-    /// (or the maintained structure) wholesale.
+    /// residency — every MapReduce round, the streaming pass and the
+    /// pool's extraction and combiner; empty for the sequential
+    /// backend, which holds the input wholesale.
     pub memory: Vec<StageMemory>,
     /// Present iff the task's budget was [`crate::Budget::Eps`].
     pub certificate: Option<Certificate>,

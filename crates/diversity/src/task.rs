@@ -1,7 +1,9 @@
 //! The one front door: [`Task`] describes *what* to optimize —
 //! problem, `k`, accuracy budget, thread cap — independently of *how*;
-//! the `run_*` methods execute the same task on any of the four
-//! substrates and all return the same [`Report`] shape.
+//! the `run_*` methods execute the same task on the sequential,
+//! streaming and MapReduce substrates, a serving pool
+//! (`diversity-serve`) answers it from maintained state, and all four
+//! return the same [`Report`] shape.
 //!
 //! ```
 //! use diversity::prelude::*;
@@ -28,7 +30,6 @@ use std::time::Instant;
 use crate::error::DivError;
 use crate::report::{Backend, Certificate, Report, StageMemory, StageTiming};
 use diversity_core::{coreset, eval, par, pipeline, seq, Problem};
-use diversity_dynamic::DynamicDiversity;
 use diversity_mapreduce::{
     randomized::randomized_two_round, recursive::recursive_owned, three_round::three_round,
     two_round::two_round, MapReduceRuntime, MrOutcome, MrStats, Partitions,
@@ -62,8 +63,8 @@ pub enum Budget {
     /// `coreset::suggest_kernel_size`, which silently clamps it up to
     /// `k`. Backends without random access resolve `Auto` differently:
     /// streaming uses `cap` directly as its center budget, and the
-    /// dynamic engine defers to its own `DynamicConfig` sizing (capped
-    /// at `cap`).
+    /// serving pool sizes from its configured `ε` and dimension
+    /// ([`Task::dynamic_k_prime`], capped at `cap`).
     Auto {
         /// Accuracy target `ε` in `(0, 1]`.
         eps: f64,
@@ -78,12 +79,12 @@ pub enum Budget {
     /// matching the executing backend's lemma: Theorems 4–5 constants
     /// for sequential/MapReduce, doubled (Lemmas 3–4) for streaming.
     /// The returned [`Report`] carries the `(α + ε)` [`Certificate`]
-    /// (except on the dynamic backend — see
-    /// [`Task::run_dynamic`]). Beware the exponent: theory constants
-    /// are pessimistic, so moderate `dim` values already produce
-    /// enormous `k'` — resident state stays bounded by the input size,
-    /// but run time grows accordingly; [`Budget::Auto`] is the
-    /// practical choice.
+    /// (except a serving pool's warm answer, whose composed covering
+    /// radius is its accuracy witness). Beware the exponent: theory
+    /// constants are pessimistic, so moderate `dim` values already
+    /// produce enormous `k'` — resident state stays bounded by the
+    /// input size, but run time grows accordingly; [`Budget::Auto`] is
+    /// the practical choice.
     Eps {
         /// Accuracy target `ε` in `(0, 1]`.
         eps: f64,
@@ -230,11 +231,6 @@ pub enum Strategy {
         /// Per-reducer memory budget in points (must be positive).
         memory_limit: usize,
     },
-    /// The sharded composition ([`Task::run_sharded`]): the 2-round
-    /// algorithm over the parts, tagged [`Backend::ShardedDynamic`] —
-    /// the cold twin of the serving pool, whose shards keep round 1
-    /// current under updates. Works for all six problems.
-    ShardedDynamic,
 }
 
 impl Serialize for Strategy {
@@ -242,7 +238,6 @@ impl Serialize for Strategy {
         match self {
             Strategy::TwoRound => out.push_str("\"TwoRound\""),
             Strategy::ThreeRound => out.push_str("\"ThreeRound\""),
-            Strategy::ShardedDynamic => out.push_str("\"ShardedDynamic\""),
             Strategy::Randomized { seed } => {
                 out.push_str("{\"Randomized\":{\"seed\":");
                 seed.serialize_json(out);
@@ -264,7 +259,6 @@ impl Deserialize for Strategy {
             return match tag.as_str() {
                 "TwoRound" => Ok(Strategy::TwoRound),
                 "ThreeRound" => Ok(Strategy::ThreeRound),
-                "ShardedDynamic" => Ok(Strategy::ShardedDynamic),
                 other => Err(serde::Error::custom(format!(
                     "unknown Strategy variant `{other}`"
                 ))),
@@ -330,8 +324,8 @@ pub struct Projection {
 /// `Deserialize`, so a serving layer can accept it as a wire-format
 /// job spec; execution is a separate, explicit step
 /// ([`run_seq`](Task::run_seq), [`run_stream`](Task::run_stream),
-/// [`run_mapreduce`](Task::run_mapreduce),
-/// [`run_dynamic`](Task::run_dynamic)).
+/// [`run_mapreduce`](Task::run_mapreduce), or a serving pool's
+/// query).
 ///
 /// Unlike the low-level free functions, every entry point validates
 /// upfront and returns [`DivError`] instead of panicking, and `k` is
@@ -367,8 +361,8 @@ impl Task {
     /// Caps the threads used for the core-set extraction stage of
     /// [`run_seq`](Task::run_seq) (`0` restores the automatic choice).
     /// The other backends own their threading: MapReduce through its
-    /// [`MapReduceRuntime`], streaming and dynamic are single-threaded
-    /// per update by design.
+    /// [`MapReduceRuntime`], and streaming is single-threaded per
+    /// update by design.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
         self
@@ -421,8 +415,7 @@ impl Task {
 
     /// The `(α+ε)` certificate for the theorem-backed backends
     /// (sequential, streaming, MapReduce — each of which sizes `k'`
-    /// from its own lemma constants). `run_dynamic` never attaches one;
-    /// see its docs.
+    /// from its own lemma constants).
     fn certificate(&self) -> Option<Certificate> {
         match self.budget {
             Budget::Eps { eps, .. } => {
@@ -775,7 +768,7 @@ impl Task {
         let k_prime = self.resolve_budget_sampled(&sample, metric)?;
 
         let outcome: MrOutcome = match strategy {
-            Strategy::TwoRound | Strategy::ShardedDynamic => {
+            Strategy::TwoRound => {
                 two_round(self.problem, partitions, metric, self.k, k_prime, runtime)
             }
             Strategy::ThreeRound => {
@@ -817,18 +810,9 @@ impl Task {
             }
         };
 
-        // The sharded composition carries its own backend tag and,
-        // like the warm pool it mirrors, no `(α+ε)` certificate: the
-        // composed `coreset_radius` is its accuracy witness.
-        let (backend, certificate) = if strategy == Strategy::ShardedDynamic {
-            (Backend::ShardedDynamic, None)
-        } else {
-            (Backend::MapReduce, self.certificate())
-        };
-
         Ok(Report {
             problem: self.problem,
-            backend,
+            backend: Backend::MapReduce,
             k: self.k,
             k_prime,
             coreset_size: outcome.solve_input_size,
@@ -846,135 +830,38 @@ impl Task {
                 })
                 .collect(),
             memory: memory_stages(&outcome.stats),
-            certificate,
+            certificate: self.certificate(),
             degradation: None,
             telemetry: diversity_obs::snapshot(),
         })
     }
 
-    /// Resolves the kernel budget `k'` for a query answered from a
-    /// maintained dynamic engine with configuration `config` — the
-    /// resolution [`run_dynamic`](Task::run_dynamic) applies, exposed
-    /// so the warm-path serving layer (`diversity-serve`'s `ShardPool`)
-    /// sizes its per-shard extractions identically: [`Budget::KPrime`]
-    /// as given, [`Budget::Eps`] through the Theorem 4–5 formula, and
-    /// [`Budget::Auto`] deferring to the engine's own
-    /// [`DynamicConfig`](diversity_dynamic::DynamicConfig) sizing
-    /// (capped at the budget's cap, floored at `k`).
-    pub fn dynamic_k_prime(
-        &self,
-        config: &diversity_dynamic::DynamicConfig,
-    ) -> Result<usize, DivError> {
+    /// Resolves the kernel budget `k'` for a query answered from
+    /// maintained state, without a data sample: the sizing
+    /// `diversity-serve`'s `ShardPool` applies, with its configured
+    /// `epsilon` and `dim`. [`Budget::KPrime`] as given,
+    /// [`Budget::Eps`] through the Theorem 4–5 formula, and
+    /// [`Budget::Auto`] as `(base/epsilon)^dim · k`, `base` the
+    /// problem's kernel constant, capped at the budget's cap and
+    /// floored at `k`. An `Auto` budget with an `epsilon` that is not
+    /// positive and finite is [`DivError::InvalidEps`].
+    pub fn dynamic_k_prime(&self, epsilon: f64, dim: u32) -> Result<usize, DivError> {
         self.budget.validate(self.k)?;
         Ok(match self.budget {
             Budget::KPrime(k_prime) => k_prime,
             Budget::Eps { eps, dim } => {
                 coreset::theoretical_kernel_size(self.problem, self.k, eps, dim)
             }
-            Budget::Auto { cap, .. } => config
-                .kernel_budget(self.problem, self.k)
-                .min(Budget::auto_cap(cap, self.k))
-                .max(self.k),
+            Budget::Auto { cap, .. } => {
+                if !(epsilon > 0.0 && epsilon.is_finite()) {
+                    return Err(DivError::InvalidEps { eps: epsilon });
+                }
+                let per_center = (self.problem.kernel_base() / epsilon).powi(dim as i32);
+                // The cast saturates: an overflowing size is `usize::MAX`.
+                let sized = (per_center * self.k as f64).ceil() as usize;
+                sized.min(Budget::auto_cap(cap, self.k)).max(self.k)
+            }
         })
-    }
-
-    // ---- dynamic -----------------------------------------------------
-
-    /// Answers the task from a fully dynamic engine's maintained
-    /// core-set. Indices in the report are the engine's
-    /// [`diversity_dynamic::PointId`] values (insertion order on an
-    /// insert-only engine). [`Budget::Auto`] defers to the engine's own
-    /// [`diversity_dynamic::DynamicConfig`] sizing, capped at the
-    /// budget's cap.
-    ///
-    /// No [`Certificate`] is attached, even under [`Budget::Eps`]: here
-    /// `k'` only selects the extraction level of the cover hierarchy,
-    /// and the accuracy actually delivered is governed by the engine's
-    /// own [`diversity_dynamic::DynamicConfig`] (its `CoresetInfo`
-    /// radius is the per-solve accuracy witness), not by the streaming
-    /// or MapReduce theorems the certificate cites.
-    pub fn run_dynamic<P, M>(&self, engine: &DynamicDiversity<P, M>) -> Result<Report<P>, DivError>
-    where
-        P: Clone + Sync,
-        M: Metric<P>,
-    {
-        if engine.is_empty() {
-            return Err(DivError::EmptyInput);
-        }
-        self.check_k(engine.len())?;
-        let k_prime = self.dynamic_k_prime(engine.config())?;
-
-        let t0 = Instant::now();
-        let sol = engine.solve_with_budget(self.problem, self.k, k_prime);
-        let solve_secs = t0.elapsed().as_secs_f64();
-
-        Ok(Report {
-            problem: self.problem,
-            backend: Backend::Dynamic,
-            k: self.k,
-            k_prime,
-            coreset_size: sol.coreset.size,
-            coreset_radius: Some(sol.coreset.radius),
-            indices: sol.ids.iter().map(|id| id.raw() as usize).collect(),
-            points: sol
-                .ids
-                .iter()
-                .map(|&id| {
-                    engine
-                        .point(id)
-                        .expect("solution ids are alive in the engine")
-                        .clone()
-                })
-                .collect(),
-            value: sol.value,
-            timings: vec![StageTiming {
-                stage: "extract+solve".into(),
-                secs: solve_secs,
-            }],
-            memory: Vec::new(),
-            certificate: None,
-            degradation: None,
-            telemetry: diversity_obs::snapshot(),
-        })
-    }
-
-    // ---- sharded --------------------------------------------------------
-
-    /// The sharded backend: `two_round` over the parts, tagged
-    /// [`Backend::ShardedDynamic`] and also reachable as
-    /// [`Strategy::ShardedDynamic`] through
-    /// [`run_mapreduce`](Task::run_mapreduce). This is the cold path
-    /// of the serving pool (`diversity-serve`'s `ShardPool`), and its
-    /// oracle: each pool shard keeps round 1 — `GMM(S_i, k')` or
-    /// GMM-EXT over the shard's part, listed start first and then by
-    /// id — current under updates, so a quiescent warm query returns
-    /// exactly this report, bit for bit, with pool handles for
-    /// indices.
-    ///
-    /// **Why the composed certificate is sound** (Definition 2): each
-    /// part's artifact covers every point of the part within its radius
-    /// (the anticover property of GMM), so the union covers the whole
-    /// input within `max_i r_i`
-    /// ([`Coreset::merge`](diversity_core::coreset::Coreset::merge)),
-    /// and the report's `coreset_radius` is that max. The combiner
-    /// solves the union directly, so no second radius term appears
-    /// ([`Coreset::deepen`](diversity_core::coreset::Coreset::deepen)).
-    ///
-    /// Indices in the report are positions in the original input
-    /// (through the partition's validated `global_indices`). No
-    /// `(α+ε)` [`Certificate`] is attached, as on the warm path; the
-    /// per-run `coreset_radius` is the accuracy witness.
-    pub fn run_sharded<P, M>(
-        &self,
-        partitions: &Partitions<P>,
-        metric: &M,
-        runtime: &MapReduceRuntime,
-    ) -> Result<Report<P>, DivError>
-    where
-        P: Clone + Send + Sync,
-        M: Metric<P>,
-    {
-        self.run_mapreduce(partitions, metric, runtime, Strategy::ShardedDynamic)
     }
 }
 
@@ -1217,19 +1104,27 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_backend_never_certifies() {
-        let mut engine = DynamicDiversity::new(Euclidean);
-        for p in line(&(0..40).map(|i| i as f64 * 3.0).collect::<Vec<_>>()) {
-            engine.insert(p);
+    fn dynamic_auto_sizing_matches_lemma_constants() {
+        let auto = |problem, k, cap| Task::new(problem, k).budget(Budget::Auto { eps: 0.5, cap });
+        // remote-edge base 8: (8/2)^2 * k = 16k.
+        let edge = auto(Problem::RemoteEdge, 3, Some(1000));
+        assert_eq!(edge.dynamic_k_prime(2.0, 2), Ok(48));
+        // remote-clique base 16: (16/2)^2 * k = 64k, capped at 32k.
+        let clique = auto(Problem::RemoteClique, 3, None);
+        assert_eq!(clique.dynamic_k_prime(2.0, 2), Ok(96));
+        // Never below k, and an overflowing size meets the cap.
+        assert_eq!(edge.dynamic_k_prime(1e9, 2), Ok(3));
+        assert_eq!(edge.dynamic_k_prime(1e-300, 4), Ok(1000));
+        for eps in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                edge.dynamic_k_prime(eps, 2),
+                Err(DivError::InvalidEps { eps })
+            );
         }
-        let report = Task::new(Problem::RemoteEdge, 3)
-            .budget(Budget::Eps { eps: 0.5, dim: 2 })
-            .run_dynamic(&engine)
-            .unwrap();
-        assert!(
-            report.certificate.is_none(),
-            "dynamic accuracy is governed by the engine config, not the theorems"
-        );
+        assert!(matches!(
+            edge.dynamic_k_prime(f64::NAN, 2),
+            Err(DivError::InvalidEps { eps }) if eps.is_nan()
+        ));
     }
 
     #[test]
@@ -1306,24 +1201,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_reports_engine_ids() {
-        let mut engine = DynamicDiversity::new(Euclidean);
-        let pts = line(&(0..50).map(|i| (i as f64) * 2.0).collect::<Vec<_>>());
-        for p in &pts {
-            engine.insert(p.clone());
-        }
-        let report = Task::new(Problem::RemoteEdge, 3)
-            .budget(Budget::KPrime(16))
-            .run_dynamic(&engine)
-            .unwrap();
-        assert_eq!(report.backend, Backend::Dynamic);
-        assert_eq!(report.len(), 3);
-        for (&id, p) in report.indices.iter().zip(&report.points) {
-            assert_eq!(&pts[id], p, "insert-only engine ids are insertion order");
-        }
-    }
-
-    #[test]
     fn mapreduce_report_exposes_memory_accounting() {
         use diversity_mapreduce::partition::split_round_robin;
         let pts = line(&(0..120).map(|i| ((i * 31) % 97) as f64).collect::<Vec<_>>());
@@ -1346,7 +1223,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_composes_shard_radii() {
+    fn two_round_composes_part_radii() {
         use diversity_mapreduce::partition::split_round_robin;
         let pts = line(
             &(0..240)
@@ -1356,8 +1233,9 @@ mod tests {
         let parts = split_round_robin(pts.clone(), 4);
         let rt = MapReduceRuntime::with_threads(4);
         let task = Task::new(Problem::RemoteEdge, 4).budget(Budget::KPrime(16));
-        let report = task.run_sharded(&parts, &Euclidean, &rt).unwrap();
-        assert_eq!(report.backend, Backend::ShardedDynamic);
+        let report = task
+            .run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)
+            .unwrap();
         assert_eq!(report.len(), 4);
         for (&g, p) in report.indices.iter().zip(&report.points) {
             assert_eq!(&pts[g], p, "global index must recover the point");
@@ -1375,14 +1253,6 @@ mod tests {
         assert_eq!(report.coreset_radius, Some(expected));
         assert_eq!(report.memory.len(), 2, "round1 + combiner");
         assert_eq!(report.memory[0].stage, "round1:coreset");
-
-        // The Strategy route lands in the same driver.
-        let via_strategy = task
-            .run_mapreduce(&parts, &Euclidean, &rt, Strategy::ShardedDynamic)
-            .unwrap();
-        assert_eq!(via_strategy.backend, Backend::ShardedDynamic);
-        assert_eq!(via_strategy.indices, report.indices);
-        assert_eq!(via_strategy.value, report.value);
     }
 
     #[test]

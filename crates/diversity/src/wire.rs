@@ -466,7 +466,8 @@ bin_fieldless_enum!(Backend, "Backend", {
     Backend::Sequential => 0,
     Backend::Streaming => 1,
     Backend::MapReduce => 2,
-    Backend::Dynamic => 3,
+    // Tag 3 was the retired cover-hierarchy backend; it decodes as a
+    // bad tag and is not reused.
     Backend::ShardedDynamic => 4,
 });
 

@@ -5,7 +5,7 @@
 //! emitting a [`Coreset`] artifact with **global** provenance. The
 //! shuffle is [`Coreset::merge`] — the composition law itself. Round
 //! 2 ([`solve_union`], shared with the randomized variant and the
-//! facade's sharded-dynamic backend): one reducer runs the sequential
+//! serving pool's warm query): one reducer runs the sequential
 //! `α`-approximation on the union. On bounded-doubling-dimension
 //! inputs with `k'` per Theorems 4–5 this is an
 //! `(α+ε)`-approximation with `M_L = O(√(k'kn))`-style local memory

@@ -11,8 +11,8 @@
 //! Ceccarello et al., PVLDB 2017), so every layer of the repro is
 //! instrumented through this crate: GMM rounds in `diversity-core`,
 //! batch kernels in `metric`, the streaming `DoublingCore`'s phases,
-//! the MapReduce round driver, the dynamic engine's per-op latencies,
-//! and the serving pool's lock/query/checkpoint timings.
+//! the MapReduce round driver, and the serving pool's
+//! lock/query/checkpoint timings.
 //!
 //! ## The cost model
 //!

@@ -2,8 +2,9 @@
 //!
 //! The **warm-path serving layer**: a long-lived pool of shards that
 //! absorbs inserts and deletes continuously and answers `Task`-shaped
-//! queries from maintained state — the layer the ROADMAP places below
-//! `Task::run_sharded`'s cold path.
+//! queries from maintained state — the fourth substrate beside the
+//! facade's sequential, streaming and MapReduce runs, and the repo's
+//! one fully dynamic engine (a one-shard pool is a fully dynamic set).
 //!
 //! The pieces:
 //!
@@ -33,7 +34,8 @@
 //!   pools answer bit-identically and seeding costs `O(1)` per point.
 //! * [`Serve`] — the extension trait that puts
 //!   [`serve`](Serve::serve) on `diversity::Task`: the caller's opt-in
-//!   to a persistent handle behind `Strategy::ShardedDynamic`.
+//!   to a persistent handle whose answers are tagged
+//!   `Backend::ShardedDynamic`.
 //! * [`churn`] — the reusable churn-stress driver the `serve_churn`
 //!   test (and any downstream soak test) is built on, plus its chaos
 //!   variant [`chaos_round`] for runs against a pool with a fault plan.
@@ -71,7 +73,7 @@
 //! ## Cold vs warm
 //!
 //! ```text
-//! cold  Task::run_sharded(parts)   two_round: GMM per part → merge → solve     (per query)
+//! cold  Task::run_mapreduce(parts, .., TwoRound)   GMM per part → merge → solve   (per query)
 //! warm  Task::serve(..) → pool     [round 1 kept current across queries]
 //!         pool.insert/delete       one shard: ≤ m distances, or a resume from the first changed step
 //!         pool.query(&task)        read k' centers per shard → merge → solve
@@ -118,7 +120,7 @@ pub use churn::{
     assert_degradation_consistent, chaos_round, churn_round, env_ops, value_loss, ChaosOutcome,
     ChurnConfig, ChurnOutcome,
 };
-pub use pool::{PoolConfig, PoolState, ShardHealth, ShardPool, ShardState, ShardedId};
+pub use pool::{PointId, PoolConfig, PoolState, ShardHealth, ShardPool, ShardState, ShardedId};
 pub use prefix::ShardStats;
 pub use rebalance::{
     rebalance_state, RebalanceConfig, RebalanceReport, RebalanceStats, RemapEntry,

@@ -1,7 +1,7 @@
-//! The long-lived shard pool — the warm path behind
-//! `Strategy::ShardedDynamic` — with per-shard fault isolation:
-//! panic quarantine, checkpoint+log recovery, and certified degraded
-//! answers when shards drop out.
+//! The long-lived shard pool — the warm path, whose answers are tagged
+//! `Backend::ShardedDynamic` — with per-shard fault isolation: panic
+//! quarantine, checkpoint+log recovery, and certified degraded answers
+//! when shards drop out.
 
 use crate::prefix::{Prefix, Removal, ShardStats};
 use crate::rebalance::{
@@ -11,7 +11,6 @@ use crate::router::{RoundRobin, Router, RouterState};
 use diversity::{Backend, Degradation, DivError, Report, StageMemory, StageTiming, Task};
 use diversity_core::coreset::Coreset;
 use diversity_core::Problem;
-use diversity_dynamic::{DynamicConfig, PointId};
 use diversity_faults::{self as faults, FaultPlan};
 use diversity_mapreduce::two_round::solve_union;
 use diversity_mapreduce::MapReduceRuntime;
@@ -40,6 +39,33 @@ fn occupancy_gauge_names(pool_id: usize, shards: usize) -> Vec<String> {
 /// Bits of a [`ShardedId`] encoding reserved for the shard-local
 /// [`PointId`]; the remaining high bits carry the shard index.
 const RAW_BITS: u32 = 48;
+
+/// A shard-local point handle. A shard issues ids counting up from 0
+/// in insertion order and never reuses one after a delete, so on a
+/// shard that has only seen inserts the id is the insertion position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PointId(u64);
+
+impl PointId {
+    /// The numeric id.
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// Reassembles a handle from its [`raw`](Self::raw) value, as
+    /// [`ShardedId::decode`] does for ids shipped over the wire. A raw
+    /// value that was never issued, or whose point was deleted, names
+    /// no alive point: deletes and lookups report it as absent.
+    pub fn from_raw(raw: u64) -> Self {
+        Self(raw)
+    }
+}
+
+impl std::fmt::Display for PointId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
 
 /// A pool-wide point handle: the shard a point lives in plus its
 /// shard-local [`PointId`]. Encodes into a single `u64` (shard in the
@@ -114,10 +140,12 @@ pub struct PoolConfig {
 }
 
 impl Default for PoolConfig {
-    /// The dynamic engine's defaults, `ε = 1` and `D = 2`.
+    /// `ε = 1` and `D = 2`.
     fn default() -> Self {
-        let DynamicConfig { epsilon, dim, .. } = DynamicConfig::default();
-        Self { epsilon, dim }
+        Self {
+            epsilon: 1.0,
+            dim: 2,
+        }
     }
 }
 
@@ -126,14 +154,9 @@ impl PoolConfig {
     /// [`Budget::KPrime`](diversity::Budget::KPrime) as given,
     /// [`Budget::Eps`](diversity::Budget::Eps) through the Theorem 4–5
     /// formula, `Auto` through this `ε` and `D` (capped at the
-    /// budget's cap, floored at `k`) — as [`Task::run_dynamic`]
-    /// resolves it.
+    /// budget's cap, floored at `k`; see [`Task::dynamic_k_prime`]).
     pub fn k_prime(&self, task: &Task) -> Result<usize, DivError> {
-        task.dynamic_k_prime(&DynamicConfig {
-            epsilon: self.epsilon,
-            dim: self.dim,
-            ..DynamicConfig::default()
-        })
+        task.dynamic_k_prime(self.epsilon, self.dim)
     }
 }
 
@@ -354,8 +377,9 @@ struct Extraction<P> {
 ///   Lemmas 1–2.
 /// * The prefix equals a fresh traversal of the shard's part listed
 ///   start first, then by id. So a quiescent query returns, bit for
-///   bit, what `two_round` (and `Task::run_sharded`) returns on those
-///   parts: same value, same radius, same points, with indices in
+///   bit, what `two_round` (and `Task::run_mapreduce` with
+///   `Strategy::TwoRound`) returns on those parts: same value, same
+///   radius, same points, with indices in
 ///   [`ShardedId`] space instead of input positions.
 ///
 /// Shards drift independently under churn — grow, shrink, empty out
@@ -637,16 +661,17 @@ where
     /// when the matching router is re-attached, so no checkpointed
     /// router state is silently dropped.
     ///
-    /// A corrupt state — no shards, shards checkpointed under
-    /// different configurations, a router state stamped with a
-    /// *different* shard count than the checkpoint holds (restoring it
-    /// would mis-route every stable-id placement — e.g. a `HashRouter`
-    /// hashing over the wrong `shards.len()`), a remap entry pointing
-    /// at a shard the pool does not have, or an inconsistent shard
-    /// (ids out of order, a start that is not alive, an id at or past
-    /// `next_id`) — returns [`DivError::CorruptState`] so the caller can
-    /// keep its last good pool instead of aborting. States produced by
-    /// `checkpoint` always restore.
+    /// A corrupt state — no shards, an `ε` that is not positive and
+    /// finite, shards checkpointed under different configurations, a
+    /// router state stamped with a *different* shard count than the
+    /// checkpoint holds (restoring it would mis-route every stable-id
+    /// placement — e.g. a `HashRouter` hashing over the wrong
+    /// `shards.len()`), a remap entry pointing at a shard the pool does
+    /// not have, or an inconsistent shard (ids out of order, a start
+    /// that is not alive, an id at or past `next_id`) — returns
+    /// [`DivError::CorruptState`] so the caller can keep its last good
+    /// pool instead of aborting. States that `checkpoint` produces on a
+    /// pool whose `ε` is positive and finite always restore.
     pub fn restore(metric: M, state: PoolState<P>) -> Result<Self, DivError> {
         if state.shards.is_empty() {
             return Err(DivError::CorruptState {
@@ -676,11 +701,19 @@ where
                 });
             }
         }
-        let span = diversity_obs::span("serve.restore_ns");
         let config = PoolConfig {
             epsilon: state.shards[0].epsilon,
             dim: state.shards[0].dim,
         };
+        if !(config.epsilon > 0.0 && config.epsilon.is_finite()) {
+            return Err(DivError::CorruptState {
+                reason: format!(
+                    "pool checkpoint holds epsilon = {}; it must be positive and finite",
+                    config.epsilon
+                ),
+            });
+        }
+        let span = diversity_obs::span("serve.restore_ns");
         let shards = shards_from_states(state.shards, "shard")?;
         let router = RoundRobin::new();
         let pending_router = if Router::<P>::restore(&router, &state.router) {
@@ -1508,10 +1541,9 @@ where
     /// [`ShardedId`] space ([`ShardedId::decode`] recovers the shard
     /// and id).
     ///
-    /// Budget resolution matches [`Task::run_dynamic`]
-    /// ([`PoolConfig::k_prime`]): `Auto` defers to the pool's
-    /// [`PoolConfig`] sizing rather than sampling the data (the
-    /// warm path never rescans points). No `(α+ε)` certificate is
+    /// Budget resolution is [`PoolConfig::k_prime`]: `Auto` defers to
+    /// the pool's [`PoolConfig`] sizing rather than sampling the data
+    /// (the warm path never rescans points). No `(α+ε)` certificate is
     /// attached — the per-query composed radius is the honest accuracy
     /// witness.
     ///

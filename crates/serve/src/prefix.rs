@@ -43,6 +43,22 @@
 //! recomputes on every insert, and one query with `k'` near the shard
 //! size makes every later insert cost about `n` evaluations (`m ≈ n`).
 //!
+//! A one-shard pool is this crate's fully dynamic set. Against a cover
+//! hierarchy (Pellizzoni–Pietracaprina–Pucci, arXiv 2302.07771), which
+//! bounds per-update work by its structure, it gives up two things:
+//!
+//! * **Update work grows with the shard.** A recompute relaxes every
+//!   alive point for each resumed step. `examples/dynamic_window.rs`
+//!   (a 2,000-point FIFO window, 10,000 arrivals, `m = 64`) reads 2,169
+//!   distance evaluations per update and 516 recomputes in 18,000
+//!   updates; the decreasing-norm order above recomputes on every
+//!   insert (`tests/prefix_oracle.rs` pins it).
+//! * **The pool logs every acknowledged mutation** for recovery until
+//!   [`crate::ShardPool::checkpoint`] folds the log in, so a window
+//!   that never checkpoints holds memory in proportion to its total
+//!   op count, not to the window. The example checkpoints at each
+//!   refresh.
+//!
 //! Deleted points stay as dead slots (distance `-∞`, which no relax
 //! moves and no argmax picks) until a quarter of the slots are dead;
 //! the shard then compacts in place.

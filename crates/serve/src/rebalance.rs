@@ -36,7 +36,7 @@
 //!   returns `false`, lookup `None`) instead of silently aliasing a
 //!   different point.
 
-use crate::pool::{PoolState, ShardState};
+use crate::pool::{PointId, PoolState, ShardState};
 use diversity::DivError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -256,7 +256,7 @@ pub fn rebalance_state<P: Clone>(
                 .expect("shards >= 1");
             let from = crate::ShardedId {
                 shard: donor,
-                id: diversity_dynamic::PointId::from_raw(local_id),
+                id: PointId::from_raw(local_id),
             }
             .try_encode()?;
             assigned[target].push((from, point));
@@ -275,7 +275,7 @@ pub fn rebalance_state<P: Clone>(
             let id = base + ids.len() as u64;
             let to = crate::ShardedId {
                 shard: target,
-                id: diversity_dynamic::PointId::from_raw(id),
+                id: PointId::from_raw(id),
             }
             .try_encode()?;
             fresh.push(RemapEntry { from, to });

@@ -12,11 +12,13 @@ use diversity_mapreduce::Partitions;
 use metric::Metric;
 
 /// Extension trait giving [`Task`] the persistent-handle entry point
-/// into the serving layer. Where `Task::run_sharded` executes
-/// `Strategy::ShardedDynamic` cold — the 2-round job over every part,
-/// for one query — `serve` hands back the long-lived [`ShardPool`]
-/// whose shards keep that job's round 1 current, so updates amortize
-/// and queries read the maintained prefixes ([`ShardPool::query`]).
+/// into the serving layer. Where `Task::run_mapreduce` with
+/// `Strategy::TwoRound` runs the 2-round job over every part for one
+/// query, `serve` hands back the long-lived [`ShardPool`] whose shards
+/// keep that job's round 1 current, so updates amortize and queries
+/// read the maintained prefixes ([`ShardPool::query`]). A one-shard
+/// pool is the fully dynamic set: inserts, deletes and queries on one
+/// maintained traversal.
 pub trait Serve {
     /// An empty pool of `shards` shards, configured from this task's
     /// budget: [`Budget::Eps`] seeds the pool's [`PoolConfig`] with
@@ -30,12 +32,13 @@ pub trait Serve {
         M: Metric<P> + Clone;
 
     /// A pool pre-loaded from an existing partitioning — one shard per
-    /// part, points inserted in part order — so a cold `run_sharded`
+    /// part, points inserted in part order — so a cold 2-round
     /// deployment can hand its data layout to the warm path. At the
     /// quiescent point right after seeding, `pool.query(&task)` returns
-    /// what `task.run_sharded(&parts, ..)` returns, bit for bit
-    /// (provenance differs: the pool speaks [`crate::ShardedId`]s, the
-    /// cold path original input positions).
+    /// what `task.run_mapreduce(&parts, .., Strategy::TwoRound)`
+    /// returns, bit for bit (provenance and backend tag differ: the
+    /// pool speaks [`crate::ShardedId`]s, the cold path original input
+    /// positions).
     fn serve_seeded<P, M>(
         &self,
         partitions: &Partitions<P>,

@@ -1,12 +1,9 @@
 //! The doubling-algorithm phase machinery shared by SMM, SMM-EXT and
 //! SMM-GEN.
 //!
-//! The machinery itself lives in [`diversity_core::doubling`] so that
-//! the fully dynamic engine (`diversity-dynamic`) can share the payload
-//! bookkeeping and scale geometry; this module re-exports it under the
-//! streaming crate's historical path.
+//! The machinery itself lives in [`diversity_core::doubling`]; this
+//! module re-exports it under the streaming crate's historical path.
 
 pub use diversity_core::doubling::{
-    distance_to_scale, scale_to_distance, Center, DelegateCount, DelegateSet, DoublingCore,
-    FinishedCore, Payload,
+    Center, DelegateCount, DelegateSet, DoublingCore, FinishedCore, Payload,
 };

@@ -4,8 +4,8 @@ use crate::doubling::DoublingCore;
 use diversity_core::coreset::Coreset;
 use metric::Metric;
 
-// The delegate-set payload is shared with the dynamic engine and lives
-// in `diversity_core::doubling`; re-exported here for compatibility.
+// The delegate-set payload lives in `diversity_core::doubling`;
+// re-exported here for compatibility.
 pub use crate::doubling::DelegateSet;
 
 /// One-pass core-set construction for remote-clique, remote-star,

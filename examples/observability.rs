@@ -39,11 +39,6 @@ fn main() -> Result<(), DivError> {
     let parts = mapreduce::partition::split_random(points.clone(), 4, 3);
     let rt = mapreduce::MapReduceRuntime::with_threads(4);
     let mr = task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)?;
-    let mut engine = dynamic::DynamicDiversity::new(Euclidean);
-    for p in &points {
-        engine.insert(p.clone());
-    }
-    let dyn_report = task.run_dynamic(&engine)?;
 
     // ...including the warm serving path.
     let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4)?;
@@ -54,8 +49,8 @@ fn main() -> Result<(), DivError> {
     let warm = pool.query(&task)?;
 
     println!(
-        "values: seq={:.3} stream={:.3} mr={:.3} dynamic={:.3} warm={:.3}\n",
-        seq.value, stream.value, mr.value, dyn_report.value, warm.value
+        "values: seq={:.3} stream={:.3} mr={:.3} warm={:.3}\n",
+        seq.value, stream.value, mr.value, warm.value
     );
 
     // 1. Every Report carries the snapshot taken as it finished.

@@ -5,11 +5,12 @@
 //! The scenario: a news-feed service keeps the last few hours of
 //! stories in a 4-shard pool. Stories arrive continuously, old ones
 //! expire, and every dashboard refresh asks for the `k` most diverse
-//! stories *right now*. The cold alternative (`Task::run_sharded`)
-//! reruns round 1 of the 2-round job over every shard per refresh;
-//! the pool keeps that round current under the update stream and
-//! answers each refresh from it, with the same answer — then snapshots
-//! itself so a restart resumes with bit-identical answers.
+//! stories *right now*. The cold alternative (`Task::run_mapreduce`
+//! with `Strategy::TwoRound`) reruns round 1 of the 2-round job over
+//! every shard per refresh; the pool keeps that round current under
+//! the update stream and answers each refresh from it, with the same
+//! answer — then snapshots itself so a restart resumes with
+//! bit-identical answers.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -22,7 +23,7 @@ fn main() -> Result<(), DivError> {
     let (stories, _) = datasets::sphere_shell(40_000, k, 3, 23);
     let task = Task::new(Problem::RemoteEdge, k).budget(Budget::KPrime(16 * k));
 
-    // Opt into the persistent handle behind Strategy::ShardedDynamic.
+    // Opt into the persistent handle.
     let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 4)?;
 
     // Live traffic: insert the backlog, then churn — every third new
@@ -62,7 +63,7 @@ fn main() -> Result<(), DivError> {
     );
     let rt = mapreduce::MapReduceRuntime::with_threads(4);
     let t = Instant::now();
-    let cold = task.run_sharded(&parts, &Euclidean, &rt)?;
+    let cold = task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)?;
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
         "cold rebuild: value {:.4}, {:.1}ms  ({:.0}x the warm query)",
@@ -70,6 +71,18 @@ fn main() -> Result<(), DivError> {
         cold_ms,
         cold_ms / warm_ms.max(1e-6),
     );
+
+    // Per-stage memory, in points: the shards never ship their raw
+    // points, only their core-sets, whose union the combiner solves
+    // (the paper's M_L / M_T quantities).
+    for (path, r) in [("warm", &report), ("cold", &cold)] {
+        for m in &r.memory {
+            println!(
+                "  {path} {:<16} reducers={:<2} M_L={:<6} total={:<6} shipped={}",
+                m.stage, m.reducers, m.max_local_points, m.total_points, m.emitted_points
+            );
+        }
+    }
 
     // Snapshot → restore: the restarted service answers identically.
     let snapshot = pool.checkpoint()?;

@@ -1,9 +1,11 @@
 //! The unified front door end to end: one serde-able `Task` job spec,
-//! four execution substrates, one `Report` shape, typed errors.
+//! four execution substrates (the fourth a one-shard serving pool),
+//! one `Report` shape, typed errors.
 //!
 //! Run with: `cargo run --release --example unified_api`
 
 use diversity::prelude::*;
+use diversity_serve::{Serve, ShardPool};
 
 fn main() -> Result<(), DivError> {
     let k = 6;
@@ -32,17 +34,17 @@ fn main() -> Result<(), DivError> {
     let rt = mapreduce::MapReduceRuntime::with_threads(8);
     let mr = task.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)?;
 
-    let mut engine = DynamicDiversity::new(Euclidean);
-    for p in &points {
-        engine.insert(p.clone());
-    }
-    let dynamic = task.run_dynamic(&engine)?;
+    // A fully dynamic set: a one-shard pool absorbs inserts (and
+    // deletes) and answers the same task from its maintained state.
+    let pool: ShardPool<VecPoint, _> = task.serve(Euclidean, 1)?;
+    pool.extend(points.iter().cloned())?;
+    let warm = pool.query(&task)?;
 
     println!(
         "\n{:<12} {:>12} {:>8} {:>10} {:>10}",
         "backend", "value", "k'", "core-set", "time"
     );
-    for report in [&seq, &stream, &mr, &dynamic] {
+    for report in [&seq, &stream, &mr, &warm] {
         println!(
             "{:<12} {:>12.4} {:>8} {:>10} {:>9.1}ms",
             format!("{:?}", report.backend),

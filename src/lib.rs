@@ -2,8 +2,7 @@
 //!
 //! This crate exists to anchor the repository-level integration tests
 //! (`tests/`) and runnable examples (`examples/`); the library surface
-//! simply re-exports the facade crate and the dynamic engine.
+//! simply re-exports the facade crate.
 
 pub use diversity;
-pub use diversity_dynamic as dynamic;
 pub use metric;

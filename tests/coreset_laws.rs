@@ -10,10 +10,10 @@
 //! * merged radii are the `max` the union law requires, and re-
 //!   extraction (`shrink`/`deepen`) *adds* radii — verified against
 //!   the ground truth `certifies` check, not just the bookkeeping;
-//! * the sharded-dynamic backend's composed certificate is sound
-//!   (every input point within the reported radius of the solve
-//!   input) and its value stays within the documented factor of
-//!   `run_seq` on the conformance problems.
+//! * the sharded 2-round run's composed certificate is sound (every
+//!   input point within the reported radius of the solve input) and
+//!   its value stays within the documented factor of `run_seq` on the
+//!   conformance problems.
 
 use diversity::prelude::*;
 use proptest::prelude::*;
@@ -135,7 +135,7 @@ proptest! {
         prop_assert!(child.certifies(&points, &Euclidean, 1e-9));
     }
 
-    /// The sharded backend (`two_round` over the parts): composed
+    /// The sharded composition (`two_round` over the parts): composed
     /// certificate sound, value within the documented factor of
     /// `run_seq`, on ≥ 3 problems.
     #[test]
@@ -150,7 +150,9 @@ proptest! {
         ] {
             let task = Task::new(problem, K).budget(Budget::KPrime(K_PRIME));
             let seq = task.run_seq(&points, &Euclidean).unwrap();
-            let sharded = task.run_sharded(&parts, &Euclidean, &rt).unwrap();
+            let sharded = task
+                .run_mapreduce(&parts, &Euclidean, &rt, diversity::Strategy::TwoRound)
+                .unwrap();
             prop_assert_eq!(sharded.len(), K);
             // Soundness of the composed radius: rebuild the union the
             // run solved on and certify against the full input.

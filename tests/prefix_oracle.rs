@@ -19,14 +19,17 @@
 //! * **Twin laws under the oracle**: a restored checkpoint, a
 //!   recovered shard and a live rebalance each answer like `two_round`
 //!   on their own parts.
+//! * **An expiring window**: a one-shard pool under FIFO churn answers
+//!   every refresh like `two_round` on the window.
 //! * **The adversarial order**: inserting by decreasing norm makes
 //!   every insert recompute the traversal — the case a cover hierarchy
 //!   bounds and the prefix gives up.
 
 use diversity::mapreduce::{two_round::two_round, MapReduceRuntime, Partitions};
 use diversity::prelude::*;
-use diversity_serve::{rebalance_state, PoolState, ShardPool, ShardedId};
+use diversity_serve::{rebalance_state, PointId, PoolState, ShardPool, ShardedId};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 type Pool = ShardPool<VecPoint, Euclidean>;
 
@@ -247,6 +250,29 @@ fn empty_shards_and_k_prime_past_shard_sizes_match_two_round() {
         assert_matches_two_round(&pool, 2, k_prime).expect("matches two_round");
         pool.validate();
     }
+}
+
+/// A sliding window of the last `window` arrivals on a one-shard pool:
+/// each delete removes the oldest point, the first of them the shard's
+/// start. Every refresh equals `two_round` on the window.
+#[test]
+fn fifo_window_matches_two_round() {
+    let (k, k_prime, window) = (6, 48, 300);
+    let (stream, _) = datasets::sphere_shell(1_500, k, 3, 99);
+    let pool: Pool = ShardPool::new(Euclidean, 1);
+    let mut live = VecDeque::new();
+    for (t, p) in stream.into_iter().enumerate() {
+        live.push_back(pool.insert(p).expect("insert"));
+        if live.len() > window {
+            let oldest = live.pop_front().expect("window non-empty");
+            assert!(pool.delete(oldest).expect("delete"), "t={t}: oldest alive");
+        }
+        pool.validate();
+        if t >= window && t % 250 == 0 {
+            assert_matches_two_round(&pool, k, k_prime).expect("matches two_round");
+        }
+    }
+    assert_eq!(pool.len(), window);
 }
 
 /// Inserting by decreasing norm along a ray makes every new point the

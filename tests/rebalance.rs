@@ -288,7 +288,7 @@ fn restored_pools_resolve_pre_rebalance_handles() {
 fn sharded_id_try_encode_refuses_unrepresentable_handles() {
     let id = |shard: usize, raw: u64| ShardedId {
         shard,
-        id: diversity::dynamic::PointId::from_raw(raw),
+        id: diversity_serve::PointId::from_raw(raw),
     };
     // The exact boundary fits...
     assert_eq!(

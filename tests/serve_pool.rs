@@ -1,12 +1,12 @@
 //! Integration of the serving layer with the `Task` front door: the
 //! warm path (`Task::serve` → `ShardPool::query`) must agree with the
-//! cold path (`Task::run_sharded`) on identical shard contents, handle
+//! cold 2-round run (`Strategy::TwoRound`) on identical shard contents, handle
 //! drained shards as empty core-sets (not errors), and checkpoint the
 //! whole pool losslessly over the wire.
 
 use diversity::mapreduce::{partition::split_round_robin, Partitions};
 use diversity::prelude::*;
-use diversity_serve::{PoolConfig, PoolState, Serve, ShardPool, ShardedId};
+use diversity_serve::{PointId, PoolConfig, PoolState, Serve, ShardPool, ShardedId};
 
 fn points(n: usize) -> Vec<VecPoint> {
     (0..n)
@@ -14,21 +14,25 @@ fn points(n: usize) -> Vec<VecPoint> {
         .collect()
 }
 
-/// Quiescent warm answers equal the cold `run_sharded` on the same
-/// shard layout: same value (bitwise), same selected points — only the
-/// provenance space differs (pool `ShardedId`s vs original positions).
+/// Quiescent warm answers equal the cold 2-round run on the same shard
+/// layout: same value (bitwise), radius and selected points — only the
+/// backend tag and the provenance space differ (pool `ShardedId`s vs
+/// original positions).
 #[test]
-fn warm_pool_matches_cold_run_sharded() {
+fn warm_pool_matches_cold_two_round() {
     let pts = points(240);
     let parts = split_round_robin(pts.clone(), 4);
     let rt = mapreduce::MapReduceRuntime::with_threads(4);
     for problem in [Problem::RemoteEdge, Problem::RemoteClique] {
         let task = Task::new(problem, 5).budget(Budget::KPrime(20));
-        let cold = task.run_sharded(&parts, &Euclidean, &rt).unwrap();
+        let cold = task
+            .run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)
+            .unwrap();
         let pool = task.serve_seeded(&parts, Euclidean).unwrap();
         let warm = pool.query(&task).unwrap();
 
-        assert_eq!(warm.backend, cold.backend, "{problem}");
+        assert_eq!(warm.backend, Backend::ShardedDynamic, "{problem}");
+        assert_eq!(cold.backend, Backend::MapReduce, "{problem}");
         assert_eq!(warm.value.to_bits(), cold.value.to_bits(), "{problem}");
         assert_eq!(warm.coreset_size, cold.coreset_size, "{problem}");
         assert_eq!(warm.coreset_radius, cold.coreset_radius, "{problem}");
@@ -91,7 +95,9 @@ fn empty_shards_contribute_the_merge_identity() {
     let rt = mapreduce::MapReduceRuntime::with_threads(2);
     let task = Task::new(Problem::RemoteEdge, 4).budget(Budget::KPrime(12));
 
-    let cold = task.run_sharded(&parts, &Euclidean, &rt).unwrap();
+    let cold = task
+        .run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound)
+        .unwrap();
     assert_eq!(cold.len(), 4);
 
     let pool = task.serve_seeded(&parts, Euclidean).unwrap();
@@ -177,7 +183,7 @@ fn sharded_ids_encode_losslessly() {
     for (shard, raw) in [(0usize, 0u64), (3, 17), (65_535, (1 << 48) - 1)] {
         let id = ShardedId {
             shard,
-            id: diversity::dynamic::PointId::from_raw(raw),
+            id: PointId::from_raw(raw),
         };
         assert_eq!(ShardedId::decode(id.encode()), id);
     }

@@ -26,11 +26,10 @@ fn arb_budget() -> impl proptest::Strategy<Value = Budget> {
 }
 
 fn arb_strategy() -> impl proptest::Strategy<Value = Strategy> {
-    (0u8..5, 0u64..u64::MAX, 1usize..100_000).prop_map(|(variant, seed, limit)| match variant {
+    (0u8..4, 0u64..u64::MAX, 1usize..100_000).prop_map(|(variant, seed, limit)| match variant {
         0 => Strategy::TwoRound,
         1 => Strategy::ThreeRound,
         2 => Strategy::Randomized { seed },
-        3 => Strategy::ShardedDynamic,
         _ => Strategy::Recursive {
             memory_limit: limit,
         },
@@ -169,10 +168,6 @@ fn wire_format_is_stable() {
         serde_json::to_string(&Strategy::Randomized { seed: 7 }).unwrap(),
         r#"{"Randomized":{"seed":7}}"#
     );
-    assert_eq!(
-        serde_json::to_string(&Strategy::ShardedDynamic).unwrap(),
-        r#""ShardedDynamic""#
-    );
 }
 
 /// The `Coreset` wire format is pinned the same way: shards and the
@@ -249,5 +244,8 @@ fn malformed_specs_are_rejected() {
             "accepted malformed spec: {bad}"
         );
     }
-    assert!(serde_json::from_str::<Strategy>(r#""FourRound""#).is_err());
+    // "ShardedDynamic" named the retired sharded strategy.
+    for bad in [r#""FourRound""#, r#""ShardedDynamic""#] {
+        assert!(serde_json::from_str::<Strategy>(bad).is_err(), "{bad}");
+    }
 }

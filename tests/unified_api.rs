@@ -1,10 +1,12 @@
 //! Cross-backend conformance suite for the unified `Task` API: every
-//! problem, through all four execution substrates, must produce
+//! problem, through all four execution substrates (sequential,
+//! streaming, MapReduce and a one-shard serving pool), must produce
 //! k-sized, finite, index-consistent `Report`s of the same shape — and
 //! every degenerate input must come back as the matching typed
 //! `DivError`, never a panic.
 
 use diversity::prelude::*;
+use diversity_serve::{Serve, ShardPool};
 
 const K: usize = 4;
 const K_PRIME: usize = 16;
@@ -60,10 +62,8 @@ fn all_problems_all_backends_one_report_shape() {
     let points = dataset();
     let parts = mapreduce::partition::split_round_robin(points.clone(), 6);
     let rt = mapreduce::MapReduceRuntime::with_threads(4);
-    let mut engine = DynamicDiversity::new(Euclidean);
-    for p in &points {
-        engine.insert(p.clone());
-    }
+    let pool: ShardPool<VecPoint, _> = task(Problem::RemoteEdge).serve(Euclidean, 1).unwrap();
+    pool.extend(points.iter().cloned()).unwrap();
 
     for problem in Problem::ALL {
         let task = task(problem);
@@ -88,52 +88,48 @@ fn all_problems_all_backends_one_report_shape() {
             .expect("mapreduce");
         assert_report_shape(&mr, problem, Backend::MapReduce);
         assert_index_consistent(&mr, &points);
-
-        let dynamic = task.run_dynamic(&engine).expect("dynamic");
-        assert_report_shape(&dynamic, problem, Backend::Dynamic);
-        assert_index_consistent(&dynamic, &points); // insert-only: ids == positions
-
-        let sharded = task.run_sharded(&parts, &Euclidean, &rt).expect("sharded");
-        assert_report_shape(&sharded, problem, Backend::ShardedDynamic);
-        assert_index_consistent(&sharded, &points);
         assert!(
-            sharded.coreset_radius.expect("composed certificate") >= 0.0,
+            mr.coreset_radius.expect("composed certificate") >= 0.0,
+            "{problem}"
+        );
+
+        // A one-shard pool's encoded handles are shard 0's ids, which
+        // on an insert-only shard are the insertion positions.
+        let warm = pool.query(&task).expect("one-shard pool");
+        assert_report_shape(&warm, problem, Backend::ShardedDynamic);
+        assert_index_consistent(&warm, &points);
+        assert!(
+            warm.coreset_radius.expect("composed certificate") >= 0.0,
             "{problem}"
         );
     }
 }
 
-/// The fifth backend honours the same error contract as the others.
+/// The serving pool honours the same error contract as MapReduce.
 #[test]
 fn sharded_error_paths_match_mapreduce() {
     let rt = mapreduce::MapReduceRuntime::with_threads(2);
-    let empty = mapreduce::partition::split_round_robin(Vec::<VecPoint>::new(), 3);
+    let t = task(Problem::RemoteEdge);
+    let pool: ShardPool<VecPoint, _> = t.serve(Euclidean, 1).unwrap();
+    let empty = mapreduce::partition::split_round_robin(Vec::<VecPoint>::new(), 1);
     assert_eq!(
-        task(Problem::RemoteEdge).run_sharded(&empty, &Euclidean, &rt),
+        t.run_mapreduce(&empty, &Euclidean, &rt, Strategy::TwoRound),
         Err(DivError::EmptyInput)
     );
+    assert_eq!(pool.query(&t), Err(DivError::EmptyInput));
 
-    let parts = mapreduce::partition::split_round_robin(dataset(), 4);
-    let err = Task::new(Problem::RemoteEdge, 1000)
-        .budget(Budget::KPrime(1000))
-        .run_sharded(&parts, &Euclidean, &rt)
-        .unwrap_err();
-    assert_eq!(
-        err,
-        DivError::InvalidK {
-            k: 1000,
-            n: Some(240)
-        }
-    );
-
-    let malformed = mapreduce::Partitions {
-        parts: vec![dataset()],
-        global_indices: vec![],
+    let parts = mapreduce::partition::split_round_robin(dataset(), 1);
+    pool.extend(dataset()).unwrap();
+    let too_many = Task::new(Problem::RemoteEdge, 1000).budget(Budget::KPrime(1000));
+    let expected = DivError::InvalidK {
+        k: 1000,
+        n: Some(240),
     };
-    assert!(matches!(
-        task(Problem::RemoteEdge).run_sharded(&malformed, &Euclidean, &rt),
-        Err(DivError::MalformedPartitions { .. })
-    ));
+    assert_eq!(
+        too_many.run_mapreduce(&parts, &Euclidean, &rt, Strategy::TwoRound),
+        Err(expected.clone())
+    );
+    assert_eq!(pool.query(&too_many), Err(expected));
 }
 
 #[test]
@@ -187,8 +183,8 @@ fn empty_input_is_typed_everywhere() {
         Err(DivError::EmptyInput)
     );
 
-    let engine: DynamicDiversity<VecPoint, Euclidean> = DynamicDiversity::new(Euclidean);
-    assert_eq!(t.run_dynamic(&engine), Err(DivError::EmptyInput));
+    let pool: ShardPool<VecPoint, _> = t.serve(Euclidean, 1).unwrap();
+    assert_eq!(pool.query(&t), Err(DivError::EmptyInput));
 }
 
 /// Regression for the legacy `one_pass` bug: emptiness used to be an

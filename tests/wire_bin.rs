@@ -6,7 +6,7 @@
 
 use diversity::prelude::*;
 use diversity::wire::{from_bytes, to_bytes, WireError};
-use diversity_serve::{PoolState, RouterState, Serve, ShardPool};
+use diversity_serve::{PoolConfig, PoolState, RouterState, Serve, ShardPool};
 use proptest::prelude::*;
 use proptest::Strategy as _;
 
@@ -221,6 +221,51 @@ fn corrupt_pool_checkpoint_is_rejected_not_a_panic() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0xA5;
         let _ = from_bytes::<PoolState<VecPoint>>(&corrupt);
+    }
+    // An ε that cannot size `Budget::Auto` decodes, and restore
+    // refuses it naming ε rather than panicking at the first query.
+    for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let mut state: PoolState<VecPoint> = from_bytes(&bytes).unwrap();
+        for shard in &mut state.shards {
+            shard.epsilon = eps;
+        }
+        let state: PoolState<VecPoint> = from_bytes(&to_bytes(&state)).unwrap();
+        match ShardPool::restore(Euclidean, state).err() {
+            Some(DivError::CorruptState { reason }) => {
+                assert!(reason.contains("epsilon"), "eps {eps}: {reason}")
+            }
+            other => panic!("eps {eps}: expected CorruptState, got {other:?}"),
+        }
+    }
+    // A pool configured with such an ε refuses `Auto` queries typed.
+    let pool = ShardPool::with_config(
+        Euclidean,
+        PoolConfig {
+            epsilon: 0.0,
+            dim: 2,
+        },
+        1,
+    );
+    pool.extend((0..20).map(|i| VecPoint::from([i as f64, 0.5 * i as f64])))
+        .unwrap();
+    assert_eq!(
+        pool.query(&Task::new(Problem::RemoteEdge, 3)).unwrap_err(),
+        DivError::InvalidEps { eps: 0.0 }
+    );
+}
+
+/// Pool replies carry `Backend::ShardedDynamic` as tag 4; tag 3 (the
+/// retired cover-hierarchy backend) is refused, not reused.
+#[test]
+fn backend_tag_3_is_retired() {
+    assert_eq!(to_bytes(&Backend::ShardedDynamic), vec![4]);
+    match from_bytes::<Backend>(&[3]) {
+        Err(WireError::BadTag {
+            what: "Backend",
+            tag: 3,
+            ..
+        }) => {}
+        other => panic!("expected BadTag, got {other:?}"),
     }
 }
 
